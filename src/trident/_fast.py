@@ -1,93 +1,90 @@
 """Array kernels for the large-graph paths.
 
-``forward_triangles`` is numpy alone.  Only ``accept_proposals``, the
-proposal-acceptance loop of ``random_bounded_graph``, has an optional numba
-version; without numba its pure-Python twin runs and gives identical
-results.
+``forward_triangle_chunks`` lists the triangles of a forward-oriented CSR
+with numpy, and ``forward_triangles`` counts them.  ``accept_proposals`` is
+the proposal-acceptance loop of ``random_bounded_graph``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-# Most wedges forward_triangles holds in memory at once.
+# Most wedges forward_triangle_chunks holds in memory at once.
 WEDGE_BUDGET = 1 << 22
 
 
-def _closed_wedges(keys: np.ndarray, queries: np.ndarray) -> int:
-    """How many of the wedge keys in ``queries`` are in the sorted ``keys``."""
-    queries.sort()  # sorted needles keep searchsorted's probes close together
-    pos = np.searchsorted(keys, queries)
+def edge_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Sorted undirected edge keys min*n + max of a forward-oriented CSR."""
+    n = indptr.size - 1
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    keys = np.minimum(heads, indices) * n + np.maximum(heads, indices)
+    keys.sort()
+    return keys
+
+
+def _closed_wedges(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into ``queries`` of the wedge keys found in the sorted ``keys``,
+    and the positions in ``keys`` where they are found; ``queries`` is
+    overwritten."""
+    # Each query's index rides in the low bits, so sorting keeps track of it.
+    shift = max(queries.size - 1, 1).bit_length()
+    packed = queries
+    packed <<= shift
+    packed |= np.arange(queries.size)
+    packed.sort()  # sorted needles keep searchsorted's probes close together
+    wedges = packed >> shift
+    pos = np.searchsorted(keys, wedges)
     np.minimum(pos, keys.size - 1, out=pos)
-    return int(np.count_nonzero(keys[pos] == queries))
+    hit = keys[pos] == wedges
+    return packed[hit] & ((1 << shift) - 1), pos[hit]
 
 
-def forward_triangles(indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Triangle count over a forward-oriented CSR with sorted rows.
+def forward_triangle_chunks(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray):
+    """Triangles of a forward-oriented CSR with sorted rows, chunk by chunk.
 
-    Every triangle lies in the forward row of its lowest-ranked vertex as a
-    wedge v < w, and is closed by the edge vw.  Wedges are built from rows
-    grouped by length, keyed v*n + w and looked up in the sorted undirected
-    edge keys of the same CSR, at most WEDGE_BUDGET of them at a time.
+    Every triangle lies in the forward row of its lowest-ranked vertex h as
+    a wedge v < w, and is closed by the edge vw.  Wedges are built from rows
+    grouped by length, keyed v*n + w and looked up in ``keys``, the
+    ``edge_keys`` of the same CSR, at most WEDGE_BUDGET of them at a time.
+    Yields one (h, v, w, pos) of int64 arrays per chunk that closes any
+    wedge, where pos is the position of the key of vw in ``keys``.
     """
     n = indptr.size - 1
     out_deg = np.diff(indptr)
-    heads = np.repeat(np.arange(n, dtype=np.int64), out_deg)
-    keys = np.minimum(heads, indices) * n + np.maximum(heads, indices)
-    del heads
-    if keys.size == 0:
-        return 0
-    keys.sort()
-    total = 0
+    # A chunk's wedge indices must fit in the low bits its keys leave free.
+    budget = min(WEDGE_BUDGET, 1 << max(63 - (n * n).bit_length(), 0))
     for k in np.unique(out_deg[out_deg > 1]).tolist():
-        rows = indptr[:-1][out_deg == k]
+        heads = np.flatnonzero(out_deg == k)
         pairs = k * (k - 1) // 2
-        if pairs <= WEDGE_BUDGET:
+        if pairs <= budget:
             i, j = np.triu_indices(k, 1)
-            step = WEDGE_BUDGET // pairs
-            for s in range(0, rows.size, step):
-                nbrs = indices[rows[s:s + step, None] + np.arange(k)]
-                total += _closed_wedges(keys, ((nbrs * n)[:, i] + nbrs[:, j]).ravel())
-        else:  # a single row outgrows the budget: take its wedges one v at a time
-            for r in rows.tolist():
-                row = indices[r:r + k]
-                for i in range(k - 1):
-                    total += _closed_wedges(keys, row[i] * n + row[i + 1:])
-    return total
+            step = budget // pairs
+            for s in range(0, heads.size, step):
+                h = heads[s:s + step]
+                nbrs = indices[indptr[h, None] + np.arange(k)]
+                found, pos = _closed_wedges(keys, ((nbrs * n)[:, i] + nbrs[:, j]).ravel())
+                if found.size:
+                    row, pair = np.divmod(found, pairs)
+                    yield h[row], nbrs[row, i[pair]], nbrs[row, j[pair]], pos
+        else:  # a single row outgrows the budget: take its wedges a v at a time
+            for h in heads.tolist():
+                row = indices[indptr[h]:indptr[h] + k]
+                for a in range(k - 1):
+                    for s in range(a + 1, k, budget):
+                        found, pos = _closed_wedges(keys, row[a] * n + row[s:s + budget])
+                        if found.size:
+                            yield (np.full(found.size, h, np.int64), np.full(found.size, row[a]),
+                                   row[s + found], pos)
 
 
-@njit(cache=True)
-def _accept_proposals(pairs, deg, cap, out, m0):
+def forward_triangles(indptr: np.ndarray, indices: np.ndarray) -> int:
+    """Triangle count over a forward-oriented CSR with sorted rows."""
+    keys = edge_keys(indptr, indices)
+    return sum(h.size for h, _, _, _ in forward_triangle_chunks(indptr, indices, keys))
+
+
+def accept_proposals(pairs, deg, cap, out, m0) -> int:
     """Sequentially accept edge proposals while both endpoints are unsaturated."""
-    m = m0
-    for k in range(pairs.shape[0]):
-        u, v = pairs[k, 0], pairs[k, 1]
-        if u == v:
-            continue
-        if deg[u] < cap and deg[v] < cap:
-            deg[u] += 1
-            deg[v] += 1
-            out[m, 0] = u
-            out[m, 1] = v
-            m += 1
-    return m
-
-
-def _accept_proposals_py(pairs, deg, cap, out, m0):
     m = m0
     for k in range(pairs.shape[0]):
         u, v = int(pairs[k, 0]), int(pairs[k, 1])
@@ -100,8 +97,3 @@ def _accept_proposals_py(pairs, deg, cap, out, m0):
             out[m, 1] = v
             m += 1
     return m
-
-
-def accept_proposals(pairs, deg, cap, out, m0) -> int:
-    fn = _accept_proposals if HAVE_NUMBA else _accept_proposals_py
-    return int(fn(pairs, deg, cap, out, m0))

@@ -70,7 +70,8 @@ def shift_inequality_check(a: int, b: int) -> bool:
 def merge_bound(a: int, b: int, c: int) -> int:
     """C(c,3) + C(a+b-c,3), the shifted value dominating C(a,3) + C(b,3).
 
-    Requires max(a, b) <= c <= a + b; used in certificate accounting.
+    Requires max(a, b) <= c <= a + b.  It is the end point of repeated
+    shift_inequality_check moves; no certificate or counting path calls it.
     """
     if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
         raise InvalidArgument(f"need nonnegative integers a, b, got ({a!r}, {b!r})")

@@ -62,18 +62,13 @@ def _count_triangles_bitset(g: Graph) -> int:
 
 def _forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Orient each edge from lower to higher (degree, index) rank; CSR rows sorted."""
-    arr = g.edge_array()
     n = g.n
-    if arr.size == 0:
-        return np.zeros(n + 1, np.int64), np.empty(0, np.int64)
     rank = np.asarray(g.degrees, np.int64) * n + np.arange(n)  # (degree, index) as one key
-    u, v = arr[:, 0], arr[:, 1]
-    keys = np.where(rank[u] < rank[v], u * n + v, v * n + u)  # head*n + tail
-    keys.sort()
-    heads, tails = np.divmod(keys, n)
+    heads = np.repeat(np.arange(n), np.diff(g._indptr))
+    forward = rank[heads] < rank[g._indices]  # masking keeps each sorted row sorted
     indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-    return indptr, tails
+    np.cumsum(np.bincount(heads[forward], minlength=n), out=indptr[1:])
+    return indptr, g._indices[forward]
 
 
 def count_triangles(g: Graph) -> int:
@@ -130,10 +125,6 @@ def triangles_meeting(g: Graph, v: int) -> int:
     return count_triangles(g) - count_triangles(rest)
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    return [g.neighbor_mask(v) | (1 << v) for v in range(g.n)]
-
-
 def _triangles_of_masks(rows: list[int], n: int):
     for u in range(n):
         ru = rows[u]
@@ -149,18 +140,15 @@ def meeting_counts(g: Graph) -> list[int]:
     A triangle {a, b, c} meets N[v] exactly when v lies in
     N[a] | N[b] | N[c] (closed), so one pass over the triangles suffices.
     """
-    rows = [g.neighbor_mask(v) for v in range(g.n)] if g.backend != "bitset" else g._rows
+    if g.backend != "bitset":
+        return _csr_counts(g, want_w=False)[1]
+    rows = g._rows
     closed = [rows[v] | (1 << v) for v in range(g.n)]
     counts = [0] * g.n
     for a, b, c in _triangles_of_masks(rows, g.n):
         for v in _iter_bits(closed[a] | closed[b] | closed[c]):
             counts[v] += 1
     return counts
-
-
-def meeting_counts_by_deletion(g: Graph) -> list[int]:
-    """Same vector computed independently through the decomposition identity."""
-    return [triangles_meeting(g, v) for v in range(g.n)]
 
 
 # -- W(G) ------------------------------------------------------------------
@@ -173,7 +161,9 @@ def count_w(g: Graph) -> int:
     inclusion-exclusion over the three forbidden pairs; validated against a
     quadruple-loop oracle in the test suite.
     """
-    rows = [g.neighbor_mask(v) for v in range(g.n)] if g.backend != "bitset" else g._rows
+    if g.backend != "bitset":
+        return _csr_counts(g, want_meeting=False)[2]
+    rows = g._rows
     total = 0
     for x in range(g.n):
         nb = rows[x]
@@ -195,16 +185,89 @@ def count_w(g: Graph) -> int:
     return total
 
 
+# -- CSR path: every statistic from one triangle listing --------------------
+
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray):
+    """(i, u) for every neighbor u of every verts[i], as two flat arrays."""
+    lens = indptr[verts + 1] - indptr[verts]
+    owner = np.repeat(np.arange(verts.size), lens)
+    offsets = indptr[verts] - np.cumsum(lens) + lens
+    return owner, indices[np.repeat(offsets, lens) + np.arange(owner.size)]
+
+
+def _edge_positions(keys: np.ndarray, n: int, x: np.ndarray, y: np.ndarray):
+    """Positions of the pairs {x, y} in the sorted edge keys, and which are edges."""
+    q = np.minimum(x, y) * n + np.maximum(x, y)
+    pos = np.searchsorted(keys, q)
+    np.minimum(pos, keys.size - 1, out=pos)
+    return pos, keys[pos] == q
+
+
+def _csr_counts(g: Graph, want_meeting: bool = True, want_w: bool = True):
+    """(triangles, meeting counts, W) of a sorted-backend graph from one
+    forward triangle listing; a statistic not wanted is None.
+
+    Each triangle marks the union of its three closed rows.  W sums
+    count_w's per-center inclusion-exclusion over all centers:
+    sum d^3 - 6 sum_x d(x) t(x) + 6 sum_e s(e)^2 - 24 K4, where t(x) counts
+    the triangles at x, s(e) those on the edge e, and K4 the 4-cliques.  W
+    never uses the meeting counts, so full_report's identity stays a check.
+    """
+    n, indptr, indices = g.n, g._indptr, g._indices
+    fwd_ptr, fwd_idx = _forward_csr(g)
+    keys = _fast.edge_keys(fwd_ptr, fwd_idx)
+    marks = np.zeros(n, np.int64)
+    at_vertex = np.zeros(n, np.int64)  # t(x)
+    on_edge = np.zeros(keys.size, np.int64)  # s(e), indexed like keys
+    triangles = 0
+    k4_pairs = 0  # (triangle, vertex adjacent to all three) pairs: four per K4
+    # Triangles per piece: gathering their rows stays within the wedge budget.
+    step = max(1, _fast.WEDGE_BUDGET // (3 * max(g.degrees, default=0) + 3))
+    for chunk in _fast.forward_triangle_chunks(fwd_ptr, fwd_idx, keys):
+        triangles += chunk[0].size
+        for s in range(0, chunk[0].size, step):
+            # a is lowest-ranked, so N(a) is the shortest row to scan for K4s
+            a, b, c, bc = (arr[s:s + step] for arr in chunk)
+            tri = np.concatenate([a, b, c])
+            if want_meeting:
+                owner, nbr = _gather_rows(indptr, indices, tri)
+                member = np.concatenate([owner % a.size * n + nbr,
+                                         np.arange(tri.size) % a.size * n + tri])
+                marks += np.bincount(np.unique(member) % n, minlength=n)
+            if want_w:
+                at_vertex += np.bincount(tri, minlength=n)
+                ab, _ = _edge_positions(keys, n, a, b)
+                ac, _ = _edge_positions(keys, n, a, c)
+                on_edge += np.bincount(np.concatenate([ab, ac, bc]), minlength=keys.size)
+                owner, x = _gather_rows(indptr, indices, a)
+                _, xb = _edge_positions(keys, n, x, b[owner])
+                _, xc = _edge_positions(keys, n, x, c[owner])
+                k4_pairs += int(np.count_nonzero(xb & xc))
+    w = None
+    if want_w:
+        w = (sum(d**3 for d in g.degrees) - 6 * int(np.diff(indptr) @ at_vertex)
+             + 6 * int(on_edge @ on_edge) - 6 * k4_pairs)
+    return triangles, marks.tolist() if want_meeting else None, w
+
+
 # -- full report -----------------------------------------------------------
 
 
 def full_report(g: Graph) -> CountsReport:
-    """All counting statistics at once; asserts the 4-tuple identity exactly."""
-    meeting = meeting_counts(g)
+    """All counting statistics at once; asserts the 4-tuple identity exactly.
+
+    On the sorted backend all three counts come from one triangle listing.
+    """
+    if g.backend == "bitset":
+        meeting = meeting_counts(g)
+        triangles, w = count_triangles(g), count_w(g)
+    else:
+        triangles, meeting, w = _csr_counts(g)
     report = CountsReport(
-        triangle_count=count_triangles(g),
+        triangle_count=triangles,
         per_vertex_meeting=meeting,
-        w_count=count_w(g),
+        w_count=w,
         degree_cube_sum=sum(d**3 for d in g.degrees),
         omega_count=6 * sum(meeting),
     )

@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import pytest
 
-from trident import build_graph
+from trident import build_graph, triangles_meeting
 from trident.graph import Graph
 
 
@@ -57,6 +57,12 @@ def brute_meeting(g: Graph, v: int) -> int:
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
         and (a in closed or b in closed or c in closed)
     )
+
+
+def meeting_counts_by_deletion(g: Graph) -> list[int]:
+    """Meeting counts through the decomposition identity: for each v, the
+    triangles of G minus those left once N[v] is deleted."""
+    return [triangles_meeting(g, v) for v in range(g.n)]
 
 
 def all_graphs(n: int, backend: str = "bitset"):

@@ -12,7 +12,6 @@ from trident import (
     meeting_counts,
     triangles_meeting,
 )
-from trident.counting import meeting_counts_by_deletion
 from trident.errors import InvalidCliqueSize, InvalidVertex
 from trident.graph import closed_neighborhood, delete_vertices
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     brute_triangles,
     brute_w,
     complete_graph,
+    meeting_counts_by_deletion,
     petersen,
 )
 
@@ -197,6 +197,82 @@ class TestFullReport:
         assert CountsReport.from_dict(rep.to_dict()) == rep
 
 
+def k4_rich_sorted_graphs():
+    """Sorted-backend graphs full of K4s: cliques, disjoint K5s, dense random."""
+    from trident import build_extremal
+
+    graphs = [complete_graph(k, "sorted") for k in range(4, 7)]
+    graphs.append(build_graph(12, build_extremal(12, 4).edge_list(), backend="sorted"))
+    rng = random.Random(17)
+    for _ in range(8):
+        graphs.append(random_graph(rng, rng.randrange(5, 10), 0.8, backend="sorted"))
+    return graphs
+
+
+class TestCsrReport:
+    def check_against_oracles(self, g):
+        meeting = [brute_meeting(g, v) for v in range(g.n)]
+        w = brute_w(g)
+        assert meeting_counts(g) == meeting
+        assert count_w(g) == w
+        rep = full_report(g)
+        assert rep.triangle_count == brute_triangles(g)
+        assert rep.per_vertex_meeting == meeting
+        assert rep.w_count == w
+
+    def test_k4_rich_vs_oracles(self):
+        for g in k4_rich_sorted_graphs():
+            self.check_against_oracles(g)
+
+    def test_k4_rich_across_chunks(self, monkeypatch):
+        # With a budget of 3 wedges, triangles and K4s span several chunks.
+        from trident import _fast
+
+        monkeypatch.setattr(_fast, "WEDGE_BUDGET", 3)
+        for g in k4_rich_sorted_graphs():
+            self.check_against_oracles(g)
+
+    def test_matches_bitset_random(self):
+        rng = random.Random(18)
+        for _ in range(40):
+            n = rng.randrange(1, 20)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < rng.random()]
+            a = build_graph(n, edges, backend="bitset")
+            b = build_graph(n, edges, backend="sorted")
+            assert full_report(a) == full_report(b)
+            assert meeting_counts(a) == meeting_counts(b)
+            assert count_w(a) == count_w(b)
+
+    def test_identity_mismatch_raises(self, monkeypatch):
+        from trident import counting
+        from trident.errors import IdentityViolation
+
+        listing = counting._csr_counts
+
+        def w_off_by_one(g):
+            triangles, meeting, w = listing(g)
+            return triangles, meeting, w + 1
+
+        monkeypatch.setattr(counting, "_csr_counts", w_off_by_one)
+        with pytest.raises(IdentityViolation):
+            full_report(complete_graph(5, "sorted"))
+
+    def test_no_neighbor_masks(self, monkeypatch):
+        from trident.graph import Graph
+
+        g = build_graph(12, list(combinations(range(6), 2)), backend="sorted")  # K6 + 6 isolated
+
+        def refuse(self, v):
+            raise AssertionError("the sorted backend built an n-bit neighbor mask")
+
+        monkeypatch.setattr(Graph, "neighbor_mask", refuse)
+        assert count_triangles(g) == 20
+        assert meeting_counts(g) == [20] * 6 + [0] * 6
+        assert count_w(g) == 6 * 5
+        assert full_report(g).triangle_count == 20
+
+
 class TestKernelParity:
     def test_forward_triangle_kernels_agree(self, monkeypatch):
         import numpy as np
@@ -248,11 +324,23 @@ class TestKernelParity:
         import numpy as np
         from trident import _fast
 
-        pairs = np.random.RandomState(0).randint(0, 30, size=(500, 2)).astype(np.int64)
-        deg_a, deg_b = np.zeros(30, np.int64), np.zeros(30, np.int64)
-        out_a, out_b = np.empty((300, 2), np.int64), np.empty((300, 2), np.int64)
-        ma = _fast._accept_proposals_py(pairs, deg_a, 3, out_a, 0)
-        mb = _fast.accept_proposals(pairs, deg_b, 3, out_b, 0)
-        assert ma == mb
-        assert (out_a[:ma] == out_b[:mb]).all()
-        assert (deg_a == deg_b).all()
+        def reference(pairs, cap, n):
+            # accept (u, v) in order while both ends have degree below cap
+            deg, out = [0] * n, []
+            for u, v in pairs.tolist():
+                if u != v and deg[u] < cap and deg[v] < cap:
+                    deg[u] += 1
+                    deg[v] += 1
+                    out.append([u, v])
+            return deg, out
+
+        rng = np.random.RandomState(0)
+        for n, cap, m0 in [(30, 3, 0), (12, 5, 0), (30, 3, 7)]:
+            pairs = rng.randint(0, n, size=(500, 2)).astype(np.int64)
+            deg, out = np.zeros(n, np.int64), np.full((300, 2), -1, np.int64)
+            m = _fast.accept_proposals(pairs, deg, cap, out, m0)
+            ref_deg, ref_out = reference(pairs, cap, n)
+            assert m == m0 + len(ref_out)
+            assert out[m0:m].tolist() == ref_out
+            assert (out[:m0] == -1).all() and (out[m:] == -1).all()
+            assert deg.tolist() == ref_deg
