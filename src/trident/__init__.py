@@ -44,7 +44,6 @@ from .formats import (
 )
 from .graph import (
     Graph,
-    VertexSet,
     build_graph,
     closed_neighborhood,
     complement,
@@ -61,7 +60,6 @@ __all__ = [
     "Graph",
     "PeelCertificate",
     "PeelStep",
-    "VertexSet",
     "VerifyResult",
     "binomial",
     "build_extremal",

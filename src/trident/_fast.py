@@ -13,15 +13,6 @@ import numpy as np
 WEDGE_BUDGET = 1 << 22
 
 
-def edge_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sorted undirected edge keys min*n + max of a forward-oriented CSR."""
-    n = indptr.size - 1
-    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    keys = np.minimum(heads, indices) * n + np.maximum(heads, indices)
-    keys.sort()
-    return keys
-
-
 def _closed_wedges(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices into ``queries`` of the wedge keys found in the sorted ``keys``,
     and the positions in ``keys`` where they are found; ``queries`` is
@@ -44,8 +35,9 @@ def forward_triangle_chunks(indptr: np.ndarray, indices: np.ndarray, keys: np.nd
 
     Every triangle lies in the forward row of its lowest-ranked vertex h as
     a wedge v < w, and is closed by the edge vw.  Wedges are built from rows
-    grouped by length, keyed v*n + w and looked up in ``keys``, the
-    ``edge_keys`` of the same CSR, at most WEDGE_BUDGET of them at a time.
+    grouped by length, keyed v*n + w and looked up in ``keys``, the sorted
+    undirected edge keys min*n + max of the same graph, at most WEDGE_BUDGET
+    of them at a time.
     Yields one (h, v, w, pos) of int64 arrays per chunk that closes any
     wedge, where pos is the position of the key of vw in ``keys``.
     """
@@ -77,9 +69,9 @@ def forward_triangle_chunks(indptr: np.ndarray, indices: np.ndarray, keys: np.nd
                                    row[s + found], pos)
 
 
-def forward_triangles(indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Triangle count over a forward-oriented CSR with sorted rows."""
-    keys = edge_keys(indptr, indices)
+def forward_triangles(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> int:
+    """Triangle count over a forward-oriented CSR with sorted rows and the
+    sorted undirected edge keys of the same graph."""
     return sum(h.size for h, _, _, _ in forward_triangle_chunks(indptr, indices, keys))
 
 

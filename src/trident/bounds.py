@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgument
+from .errors import IdentityViolation, InvalidArgument
 from .graph import Graph, complement
 from .counting import count_triangles
 
@@ -86,6 +86,7 @@ def complement_identity_check(g: Graph) -> tuple[int, int]:
     n = g.n
     s = sum(d * (n - 1 - d) for d in g.degrees)
     # each non-edge at distance-2 pair is counted from both ends, so s is even
-    assert s % 2 == 0
+    if s % 2:
+        raise IdentityViolation(f"sum d(v)(n-1-d(v)) = {s} is odd")
     rhs = binomial(n, 3) - s // 2
     return lhs, rhs

@@ -127,7 +127,8 @@ def peel(g: Graph, d: int) -> PeelCertificate:
         if tri > binomial(dv + 1, 3):
             raise IdentityViolation(f"selected vertex {v} exceeds its step bound")
         # telescoping step of the induction: one deletion cannot overshoot
-        assert binomial(dv + 1, 3) + _gls(cur.n - dv - 1, d, 3) <= _gls(cur.n, d, 3)
+        if binomial(dv + 1, 3) + _gls(cur.n - dv - 1, d, 3) > _gls(cur.n, d, 3):
+            raise IdentityViolation(f"deleting N[{v}] overshoots the bound telescoping")
         nxt, kept = delete_vertices(cur, closed_neighborhood(cur, v))
         steps.append(
             PeelStep(
@@ -181,7 +182,7 @@ class VerifyResult:
 
 
 def _indep_triangles(g: Graph) -> int:
-    """Sorted-adjacency merge count, kept separate from the bitset fast path."""
+    """Sorted-adjacency merge count, kept separate from the counting kernels."""
     nbrs = [g.neighbors(v) for v in range(g.n)]
     total = 0
     for u in range(g.n):

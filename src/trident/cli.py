@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure (tampered certificate,
-violated bound, identity mismatch), 2 usage or input-format error.
+violated bound, complement identity mismatch), 2 usage or input-format
+error, or an internal IdentityViolation.
 Machine output goes to stdout (JSON with --json), errors to stderr.
 """
 

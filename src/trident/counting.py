@@ -5,6 +5,11 @@ sum over vertices of the number of triangles meeting each closed
 neighborhood, plus the ordered-4-tuple statistic W(G), equals the sum of
 cubed degrees.  A failure is an implementation bug, never a property of
 the input, and raises IdentityViolation.
+
+Every count comes from one of two kernels over the graph's CSR, chosen in
+``_counts`` by size: word-parallel bitset operations on n-bit rows built as
+scratch for small graphs, and the numpy forward triangle listing of
+``_fast`` for large ones.
 """
 
 from __future__ import annotations
@@ -46,18 +51,76 @@ class CountsReport:
         )
 
 
-# -- triangle counting ----------------------------------------------------
+# -- kernels ----------------------------------------------------------------
+
+# Graphs with n*n at most this many bits are counted by the bitset kernel over
+# n-bit neighborhood rows built as scratch; larger ones by the numpy listing.
+DENSE_BIT_BUDGET = 2**28
 
 
-def _count_triangles_bitset(g: Graph) -> int:
-    rows = g._rows
-    total = 0
-    for u in range(g.n):
+def _counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
+    """(triangles, meeting counts, W) from the kernel for g's size; W needs
+    cubes = sum d^3 and is None without it, as are unwanted meeting counts."""
+    kernel = _bitset_counts if g.n * g.n <= DENSE_BIT_BUDGET else _csr_counts
+    return kernel(g, want_meeting, cubes)
+
+
+def _degree_cube_sum(g: Graph) -> int:
+    """sum d^3 in exact Python integers, one term per distinct degree."""
+    return sum(k**3 * c for k, c in enumerate(np.bincount(np.diff(g._indptr)).tolist()))
+
+
+def _bitset_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
+    """(triangles, meeting counts, W) by word-parallel operations on the
+    neighborhood bitsets; each triangle u < v < w is met once, at edge uv.
+
+    Each triangle adds one to the meeting count of every vertex in the union
+    of its three closed neighborhoods, all at once: the counts are kept as
+    bit planes and the union is ripple-carried into them.  W is
+    sum d^3 - 6 sum_x d(x) t(x) + 6 sum_e s(e)^2 - 24 K4 as in _csr_counts:
+    sum_x d(x) t(x) is the sum over triangles of their degree sums, s(uv) the
+    common neighbors of u and v, and each K4 is met from its four triangles.
+    """
+    n, deg = g.n, g.degrees
+    rows = g.neighbor_masks()
+    closed = [r | (1 << v) for v, r in enumerate(rows)]
+    # The meeting counts in binary: bit x of planes[i] is bit i of the count
+    # of x.  Fewer than n^3 triangles fit in (n^3).bit_length() planes.
+    planes = [0] * (n**3).bit_length()
+    want_w = cubes is not None
+    triangles = degree_sums = squares = k4_pairs = 0
+    for u in range(n):
         ru = rows[u]
         for v in _iter_bits(ru >> (u + 1)):
             v += u + 1
-            total += ((ru & rows[v]) >> (v + 1)).bit_count()
-    return total
+            common = ru & rows[v]
+            later = common >> (v + 1)
+            triangles += later.bit_count()
+            if want_w:
+                squares += common.bit_count() ** 2
+            if not (want_meeting or want_w):
+                continue
+            for w in _iter_bits(later):
+                w += v + 1
+                if want_meeting:  # add 1 to the counts in N[u] | N[v] | N[w]
+                    carry, i = closed[u] | closed[v] | closed[w], 0
+                    while carry:
+                        plane = planes[i]
+                        planes[i] = plane ^ carry
+                        carry &= plane
+                        i += 1
+                if want_w:
+                    degree_sums += deg[u] + deg[v] + deg[w]
+                    k4_pairs += (common & rows[w]).bit_count()
+    meeting = None
+    if want_meeting:  # no count exceeds the triangle count
+        used = list(enumerate(planes[:triangles.bit_length()]))
+        meeting = [sum(((p >> x) & 1) << i for i, p in used) for x in range(n)]
+    w_count = cubes - 6 * degree_sums + 6 * squares - 6 * k4_pairs if want_w else None
+    return triangles, meeting, w_count
+
+
+# -- triangle counting ----------------------------------------------------
 
 
 def _forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -71,12 +134,15 @@ def _forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, g._indices[forward]
 
 
+def _edge_keys(g: Graph) -> np.ndarray:
+    """Undirected edge keys u*n + v (u < v), sorted: the CSR lists them in order."""
+    arr = g.edge_array()
+    return arr[:, 0] * g.n + arr[:, 1]
+
+
 def count_triangles(g: Graph) -> int:
     """Exact number of unordered vertex triples inducing a triangle."""
-    if g.backend == "bitset":
-        return _count_triangles_bitset(g)
-    indptr, indices = _forward_csr(g)
-    return _fast.forward_triangles(indptr, indices)
+    return _counts(g, want_meeting=False)[0]
 
 
 # -- t-clique counting ----------------------------------------------------
@@ -125,30 +191,13 @@ def triangles_meeting(g: Graph, v: int) -> int:
     return count_triangles(g) - count_triangles(rest)
 
 
-def _triangles_of_masks(rows: list[int], n: int):
-    for u in range(n):
-        ru = rows[u]
-        for v in _iter_bits(ru >> (u + 1)):
-            v += u + 1
-            for w in _iter_bits((ru & rows[v]) >> (v + 1)):
-                yield u, v, w + v + 1
-
-
 def meeting_counts(g: Graph) -> list[int]:
     """Per-vertex triangles-meeting counts, via triangle enumeration and marking.
 
     A triangle {a, b, c} meets N[v] exactly when v lies in
     N[a] | N[b] | N[c] (closed), so one pass over the triangles suffices.
     """
-    if g.backend != "bitset":
-        return _csr_counts(g, want_w=False)[1]
-    rows = g._rows
-    closed = [rows[v] | (1 << v) for v in range(g.n)]
-    counts = [0] * g.n
-    for a, b, c in _triangles_of_masks(rows, g.n):
-        for v in _iter_bits(closed[a] | closed[b] | closed[c]):
-            counts[v] += 1
-    return counts
+    return _counts(g)[1]
 
 
 # -- W(G) ------------------------------------------------------------------
@@ -157,38 +206,17 @@ def meeting_counts(g: Graph) -> list[int]:
 def count_w(g: Graph) -> int:
     """Ordered 4-tuples (x, u, v, w): u, v, w adjacent to x, pairwise non-adjacent.
 
-    Repeats among u, v, w are allowed.  Computed per center x by
-    inclusion-exclusion over the three forbidden pairs; validated against a
+    Repeats among u, v, w are allowed.  Computed by inclusion-exclusion over
+    the three forbidden pairs, summed over all centers; validated against a
     quadruple-loop oracle in the test suite.
     """
-    if g.backend != "bitset":
-        return _csr_counts(g, want_meeting=False)[2]
-    rows = g._rows
-    total = 0
-    for x in range(g.n):
-        nb = rows[x]
-        d = nb.bit_count()
-        if d == 0:
-            continue
-        e2 = 0  # ordered adjacent pairs inside N(x)
-        s2 = 0  # sum over u in N(x) of |N(u) & N(x)|^2
-        tx = 0  # triangles inside N(x)
-        for u in _iter_bits(nb):
-            k = (rows[u] & nb).bit_count()
-            e2 += k
-            s2 += k * k
-            cu = (rows[u] & nb) >> (u + 1)
-            for v in _iter_bits(cu):
-                v += u + 1
-                tx += ((rows[u] & rows[v] & nb) >> (v + 1)).bit_count()
-        total += d * d * d - 3 * e2 * d + 3 * s2 - 6 * tx
-    return total
+    return _counts(g, want_meeting=False, cubes=_degree_cube_sum(g))[2]
 
 
 # -- CSR path: every statistic from one triangle listing --------------------
 
 
-def _gather_rows(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray):
+def _gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray):
     """(i, u) for every neighbor u of every verts[i], as two flat arrays."""
     lens = indptr[verts + 1] - indptr[verts]
     owner = np.repeat(np.arange(verts.size), lens)
@@ -204,9 +232,9 @@ def _edge_positions(keys: np.ndarray, n: int, x: np.ndarray, y: np.ndarray):
     return pos, keys[pos] == q
 
 
-def _csr_counts(g: Graph, want_meeting: bool = True, want_w: bool = True):
-    """(triangles, meeting counts, W) of a sorted-backend graph from one
-    forward triangle listing; a statistic not wanted is None.
+def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
+    """(triangles, meeting counts, W) of a large graph from one forward
+    triangle listing of its CSR.
 
     Each triangle marks the union of its three closed rows.  W sums
     count_w's per-center inclusion-exclusion over all centers:
@@ -216,7 +244,10 @@ def _csr_counts(g: Graph, want_meeting: bool = True, want_w: bool = True):
     """
     n, indptr, indices = g.n, g._indptr, g._indices
     fwd_ptr, fwd_idx = _forward_csr(g)
-    keys = _fast.edge_keys(fwd_ptr, fwd_idx)
+    keys = _edge_keys(g)
+    if not want_meeting and cubes is None:
+        return _fast.forward_triangles(fwd_ptr, fwd_idx, keys), None, None
+    want_w = cubes is not None
     marks = np.zeros(n, np.int64)
     at_vertex = np.zeros(n, np.int64)  # t(x)
     on_edge = np.zeros(keys.size, np.int64)  # s(e), indexed like keys
@@ -231,7 +262,7 @@ def _csr_counts(g: Graph, want_meeting: bool = True, want_w: bool = True):
             a, b, c, bc = (arr[s:s + step] for arr in chunk)
             tri = np.concatenate([a, b, c])
             if want_meeting:
-                owner, nbr = _gather_rows(indptr, indices, tri)
+                owner, nbr = _gather_neighbors(indptr, indices, tri)
                 member = np.concatenate([owner % a.size * n + nbr,
                                          np.arange(tri.size) % a.size * n + tri])
                 marks += np.bincount(np.unique(member) % n, minlength=n)
@@ -240,13 +271,13 @@ def _csr_counts(g: Graph, want_meeting: bool = True, want_w: bool = True):
                 ab, _ = _edge_positions(keys, n, a, b)
                 ac, _ = _edge_positions(keys, n, a, c)
                 on_edge += np.bincount(np.concatenate([ab, ac, bc]), minlength=keys.size)
-                owner, x = _gather_rows(indptr, indices, a)
+                owner, x = _gather_neighbors(indptr, indices, a)
                 _, xb = _edge_positions(keys, n, x, b[owner])
                 _, xc = _edge_positions(keys, n, x, c[owner])
                 k4_pairs += int(np.count_nonzero(xb & xc))
     w = None
     if want_w:
-        w = (sum(d**3 for d in g.degrees) - 6 * int(np.diff(indptr) @ at_vertex)
+        w = (cubes - 6 * int(np.diff(indptr) @ at_vertex)
              + 6 * int(on_edge @ on_edge) - 6 * k4_pairs)
     return triangles, marks.tolist() if want_meeting else None, w
 
@@ -257,18 +288,15 @@ def _csr_counts(g: Graph, want_meeting: bool = True, want_w: bool = True):
 def full_report(g: Graph) -> CountsReport:
     """All counting statistics at once; asserts the 4-tuple identity exactly.
 
-    On the sorted backend all three counts come from one triangle listing.
+    All three counts come from one pass of one kernel.
     """
-    if g.backend == "bitset":
-        meeting = meeting_counts(g)
-        triangles, w = count_triangles(g), count_w(g)
-    else:
-        triangles, meeting, w = _csr_counts(g)
+    cubes = _degree_cube_sum(g)
+    triangles, meeting, w = _counts(g, cubes=cubes)
     report = CountsReport(
         triangle_count=triangles,
         per_vertex_meeting=meeting,
         w_count=w,
-        degree_cube_sum=sum(d**3 for d in g.degrees),
+        degree_cube_sum=cubes,
         omega_count=6 * sum(meeting),
     )
     if report.omega_count + report.w_count != report.degree_cube_sum:

@@ -33,7 +33,14 @@ CANONICAL_LIMIT = 10
 
 
 def exhaustive_limit() -> int:
-    return int(os.environ.get(EXHAUSTIVE_LIMIT_ENV, DEFAULT_EXHAUSTIVE_LIMIT))
+    """Largest n enumerate_and_verify accepts, from TRIDENT_MAX_EXHAUSTIVE_N."""
+    raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
+    if raw is None:
+        return DEFAULT_EXHAUSTIVE_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidArgument(f"{EXHAUSTIVE_LIMIT_ENV}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def canonical_form(g: Graph) -> bytes:
         classes.setdefault(colors[v], []).append(v)
     ordered_classes = [classes[c] for c in sorted(classes)]
 
-    rows = [g.neighbor_mask(v) for v in range(n)]
+    rows = g.neighbor_masks()
     nbits = n * (n - 1) // 2
     best = None
     for parts in product(*(permutations(cls) for cls in ordered_classes)):

@@ -103,10 +103,8 @@ def g6_pack_bits(n: int, bit_at) -> str:
 
 
 def write_graph6(g: Graph) -> str:
-    if g.backend == "bitset":
-        rows = g._rows
-        return g6_pack_bits(g.n, lambda i, j: (rows[i] >> j) & 1)
-    return g6_pack_bits(g.n, lambda i, j: 1 if g.has_edge(i, j) else 0)
+    masks = g.neighbor_masks()
+    return g6_pack_bits(g.n, lambda i, j: (masks[i] >> j) & 1)
 
 
 def read_graph6(line: str) -> Graph:
@@ -115,7 +113,10 @@ def read_graph6(line: str) -> Graph:
         if not line.startswith(G6_HEADER):
             raise FormatError(f"unsupported header in {line[:20]!r}")
         line = line[len(G6_HEADER):]
-    data = line.encode("ascii", errors="replace")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError:
+        raise FormatError("non-ASCII character in graph6 string") from None
     if any(b < 63 or b > 126 for b in data):
         raise FormatError("invalid graph6 character")
     n, rest = _g6_decode_n(data)
@@ -155,7 +156,10 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     path = Path(path)
     if fmt is None:
         fmt = "g6" if path.suffix == ".g6" else "el"
-    text = path.read_text()
+    try:
+        text = path.read_bytes().decode("ascii")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"non-ASCII byte at offset {e.start} of {path}") from None
     if fmt == "g6":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 1:

@@ -1,28 +1,21 @@
-"""Simple undirected graphs with dense-bitset or sorted-adjacency storage.
+"""Simple undirected graphs stored as one immutable CSR.
 
 Graphs are immutable after construction: every mutating operation
 (neighborhood deletion, complementation) returns a new Graph, so instances
 are safe to share across threads.
 
-Two storage backends with identical semantics:
-
-* ``bitset`` — one Python int per vertex holding its neighbor bits; the
-  default whenever n*n bits fit the memory budget.  All set operations are
-  word-parallel int ops.
-* ``sorted`` — CSR-style sorted neighbor arrays (numpy), used for large
-  sparse graphs where an n x n bit matrix would not fit.
+The storage is ``_indptr``/``_indices`` (int64): the neighbors of v are
+``_indices[_indptr[v]:_indptr[v + 1]]``, each row sorted and free of
+duplicates, every edge stored in both directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
 
 import numpy as np
 
 from .errors import EmptyGraph, InvalidArgument, InvalidVertex, SelfLoopRejected
-
-# Bitset rows are used while n*n bits stay under this budget (default 32 MiB).
-DENSE_BIT_BUDGET = 2**28
 
 
 def _iter_bits(mask: int):
@@ -33,32 +26,6 @@ def _iter_bits(mask: int):
         mask ^= b
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of the vertices of a specific graph, stored as a bitmask."""
-
-    mask: int
-    n: int
-
-    @classmethod
-    def from_vertices(cls, n: int, vertices) -> "VertexSet":
-        mask = 0
-        for v in vertices:
-            if not 0 <= v < n:
-                raise InvalidVertex(f"vertex {v} not in [0, {n})")
-            mask |= 1 << v
-        return cls(mask, n)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.mask >> v) & 1 == 1
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def members(self) -> list[int]:
-        return list(_iter_bits(self.mask))
-
-
 class Graph:
     """Immutable simple undirected graph.
 
@@ -66,25 +33,20 @@ class Graph:
     constructor itself trusts its inputs.
     """
 
-    __slots__ = ("n", "backend", "_rows", "_indptr", "_indices", "degrees")
+    __slots__ = ("n", "_indptr", "_indices", "degrees")
 
-    def __init__(self, n, backend, rows=None, indptr=None, indices=None):
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = n
-        self.backend = backend
-        self._rows = rows
         self._indptr = indptr
         self._indices = indices
-        if backend == "bitset":
-            self.degrees = [r.bit_count() for r in rows]
-        else:
-            self.degrees = np.diff(indptr).astype(np.int64).tolist()
+        self.degrees = (indptr[1:] - indptr[:-1]).tolist()
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(self.degrees) // 2
+        return self._indices.size // 2
 
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
@@ -93,8 +55,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        if self.backend == "bitset":
-            return (self._rows[u] >> v) & 1 == 1
         lo, hi = self._indptr[u], self._indptr[u + 1]
         i = np.searchsorted(self._indices[lo:hi], v)
         return i < hi - lo and self._indices[lo + i] == v
@@ -102,54 +62,48 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         """Sorted open neighborhood of v."""
         self.check_vertex(v)
-        if self.backend == "bitset":
-            return list(_iter_bits(self._rows[v]))
         return self._indices[self._indptr[v]:self._indptr[v + 1]].tolist()
 
-    def neighbor_mask(self, v: int) -> int:
-        """Open neighborhood of v as a bitmask."""
-        self.check_vertex(v)
-        if self.backend == "bitset":
-            return self._rows[v]
-        mask = 0
-        for u in self._indices[self._indptr[v]:self._indptr[v + 1]]:
-            mask |= 1 << int(u)
-        return mask
+    def neighbor_masks(self) -> list[int]:
+        """Open neighborhoods as n-bit Python ints: bit u of entry v is edge uv."""
+        n, width = self.n, -(-self.n // 8)
+        masks: list[int] = []
+        step = max(1, 2**24 // max(8 * width, 1))  # rows per 16 MiB block of bools
+        for lo in range(0, n, step):
+            ptr = self._indptr[lo:lo + step + 1]
+            block = np.zeros((ptr.size - 1, 8 * width), bool)
+            block[np.repeat(np.arange(ptr.size - 1), np.diff(ptr)),
+                  self._indices[ptr[0]:ptr[-1]]] = True
+            data = np.packbits(block, axis=1, bitorder="little").tobytes()
+            masks += [int.from_bytes(data[i:i + width], "little")
+                      for i in range(0, len(data), width)]
+        return masks
 
     def edges(self):
         """Iterate edges (u, v) with u < v in lexicographic order."""
-        if self.backend == "bitset":
-            for u in range(self.n):
-                for v in _iter_bits(self._rows[u] >> (u + 1)):
-                    yield u, v + u + 1
-        else:
-            for u in range(self.n):
-                row = self._indices[self._indptr[u]:self._indptr[u + 1]]
-                for v in row[np.searchsorted(row, u + 1):]:
-                    yield u, int(v)
+        for u, v in self.edge_array().tolist():
+            yield u, v
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self.edges())
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) int64 array with u < v, lexicographically sorted."""
-        if self.backend == "sorted":
-            heads = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
-            fwd = heads < self._indices
-            return np.stack([heads[fwd], self._indices[fwd]], axis=1)
-        arr = np.array(self.edge_list(), np.int64)
-        return arr.reshape(-1, 2)
+        heads = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
+        up = heads < self._indices
+        return np.stack([heads[up], self._indices[up]], axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_list() == other.edge_list()
+        return (self.n == other.n and np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m}, backend={self.backend!r})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges, backend: str | None = None) -> Graph:
+def build_graph(n: int, edges) -> Graph:
     """Build a Graph from an edge list; duplicate pairs are idempotent.
 
     ``edges`` may be any iterable of (u, v) pairs or an (m, 2) integer
@@ -159,23 +113,6 @@ def build_graph(n: int, edges, backend: str | None = None) -> Graph:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidArgument(f"vertex count must be a nonnegative integer, got {n!r}")
     n = int(n)
-    if backend is None:
-        backend = "bitset" if n * n <= DENSE_BIT_BUDGET else "sorted"
-    if backend not in ("bitset", "sorted"):
-        raise InvalidArgument(f"unknown backend {backend!r}")
-
-    if backend == "bitset":
-        rows = [0] * n
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidVertex(f"edge ({u}, {v}) endpoint not in [0, {n})")
-            if u == v:
-                raise SelfLoopRejected(f"self-loop ({u}, {u}) rejected")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(n, "bitset", rows=rows)
-
     if isinstance(edges, np.ndarray):
         arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
     else:
@@ -189,69 +126,54 @@ def build_graph(n: int, edges, backend: str | None = None) -> Graph:
         if loops.any():
             v = int(arr[loops][0, 0])
             raise SelfLoopRejected(f"self-loop ({v}, {v}) rejected")
-    return _sorted_graph_from_edges(n, arr)
+    # One key head*n + tail per direction: sorted, it is the CSR in row order.
+    keys = np.concatenate([arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
+    keys.sort()
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if keys.size else keys
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)  # row v: keys >= v*n
+    keys %= max(n, 1)  # the tails, in place
+    return Graph(n, indptr, keys)
 
 
-def _sorted_graph_from_edges(n: int, arr: np.ndarray) -> Graph:
-    """CSR build from a (possibly duplicated) validated edge array."""
-    u = np.minimum(arr[:, 0], arr[:, 1])
-    v = np.maximum(arr[:, 0], arr[:, 1])
-    keys = np.unique(u * n + v) if u.size else np.empty(0, np.int64)
-    eu, ev = keys // n, keys % n
-    heads = np.concatenate([eu, ev])
-    tails = np.concatenate([ev, eu])
-    order = np.lexsort((tails, heads))
-    indices = tails[order].astype(np.int64)
-    counts = np.bincount(heads, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return Graph(n, "sorted", indptr=indptr, indices=indices)
+def closed_neighborhood(g: Graph, v: int) -> list[int]:
+    """N[v] as a sorted vertex list: v together with its neighbors."""
+    members = g.neighbors(v)
+    bisect.insort(members, v)
+    return members
 
 
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    """N[v]: v together with its neighbors; |N[v]| = d(v) + 1."""
-    g.check_vertex(v)
-    return VertexSet(g.neighbor_mask(v) | (1 << v), g.n)
-
-
-def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, list[int]]:
-    """Induced subgraph on V minus s, relabeled contiguously.
+def delete_vertices(g: Graph, vertices) -> tuple[Graph, list[int]]:
+    """Induced subgraph on V minus ``vertices``, relabeled contiguously.
 
     Relabeling preserves original index order.  Returns (subgraph, kept)
-    where kept[new_index] = original index.
+    where kept[new_index] = original index.  Raises InvalidVertex for an id
+    outside [0, n).
     """
-    if s.n != g.n:
-        raise InvalidArgument(f"vertex set over {s.n} vertices applied to graph on {g.n}")
-    keep_mask = ((1 << g.n) - 1) & ~s.mask
-    kept = list(_iter_bits(keep_mask))
-    new_of = {old: new for new, old in enumerate(kept)}
-    nn = len(kept)
-
-    if g.backend == "sorted":
-        arr = g.edge_array()
-        if arr.size:
-            lookup = np.full(g.n, -1, np.int64)
-            lookup[kept] = np.arange(nn)
-            ok = (lookup[arr[:, 0]] >= 0) & (lookup[arr[:, 1]] >= 0)
-            arr = lookup[arr[ok]]
-        return _sorted_graph_from_edges(nn, arr.reshape(-1, 2)), kept
-
-    rows = [0] * nn
-    for new_u, old_u in enumerate(kept):
-        above = keep_mask & ~((2 << old_u) - 1)
-        for old_v in _iter_bits(g._rows[old_u] & above):
-            new_v = new_of[old_v]
-            rows[new_u] |= 1 << new_v
-            rows[new_v] |= 1 << new_u
-    return Graph(nn, "bitset", rows=rows), kept
+    vertices = list(vertices)
+    for v in vertices:
+        g.check_vertex(v)
+    alive = np.ones(g.n, bool)
+    alive[vertices] = False
+    # Survivors keep their order, so the relabeled rows stay sorted.
+    new_id = np.cumsum(alive) - 1
+    heads = np.repeat(np.arange(g.n), np.diff(g._indptr))
+    keep = alive[heads] & alive[g._indices]
+    kept = np.flatnonzero(alive)
+    indptr = np.zeros(kept.size + 1, np.int64)
+    np.cumsum(np.bincount(heads[keep], minlength=g.n)[kept], out=indptr[1:])
+    return Graph(kept.size, indptr, new_id[g._indices[keep]]), kept.tolist()
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph: uv is an edge iff u != v and uv is not an edge of g."""
-    if g.n * g.n > DENSE_BIT_BUDGET:
-        raise InvalidArgument(f"complement of an n={g.n} graph exceeds the dense budget")
-    full = (1 << g.n) - 1
-    rows = [(~g.neighbor_mask(v)) & full & ~(1 << v) for v in range(g.n)]
-    return Graph(g.n, "bitset", rows=rows)
+    # The complement's CSR holds up to n^2 int64 entries; building it takes
+    # a few times that, so n stays at most 4096.
+    if g.n * g.n > 2**24:
+        raise InvalidArgument(f"complement of an n={g.n} graph has too many edges to build")
+    taken = np.tri(g.n, dtype=bool)  # pairs (u, v) with v <= u, and then the edges
+    edges = g.edge_array()
+    taken[edges[:, 0], edges[:, 1]] = True
+    return build_graph(g.n, np.argwhere(~taken))
 
 
 def max_degree(g: Graph) -> int:

@@ -9,8 +9,33 @@ from itertools import combinations, product
 
 import pytest
 
-from trident import build_graph, triangles_meeting
+from trident import build_graph, counting, triangles_meeting
 from trident.graph import Graph
+
+# The two counting kernels: "bitset" is the small-n kernel over n-bit rows,
+# "sorted" the numpy triangle listing of the sorted CSR.
+KERNELS = ["bitset", "sorted"]
+
+
+def use_kernel(monkeypatch, kernel: str) -> None:
+    """Count with ``kernel`` on every graph; the numpy listing is forced by
+    lowering the bitset kernel's size limit below every n*n."""
+    if kernel == "sorted":
+        monkeypatch.setattr(counting, "DENSE_BIT_BUDGET", -1)
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request, monkeypatch):
+    use_kernel(monkeypatch, request.param)
+    return request.param
+
+
+def by_both_kernels(monkeypatch, fn, g):
+    """(fn(g) under the bitset kernel, fn(g) under the numpy listing)."""
+    small = fn(g)
+    with monkeypatch.context() as m:
+        use_kernel(m, "sorted")
+        return small, fn(g)
 
 
 def brute_triangles(g: Graph) -> int:
@@ -65,16 +90,15 @@ def meeting_counts_by_deletion(g: Graph) -> list[int]:
     return [triangles_meeting(g, v) for v in range(g.n)]
 
 
-def all_graphs(n: int, backend: str = "bitset"):
+def all_graphs(n: int):
     """Every labeled graph on n vertices (2^C(n,2) of them)."""
     slots = list(combinations(range(n), 2))
     for mask in range(1 << len(slots)):
-        yield build_graph(n, [slots[k] for k in range(len(slots)) if (mask >> k) & 1],
-                          backend=backend)
+        yield build_graph(n, [slots[k] for k in range(len(slots)) if (mask >> k) & 1])
 
 
-def complete_graph(n: int, backend: str = "bitset") -> Graph:
-    return build_graph(n, list(combinations(range(n), 2)), backend=backend)
+def complete_graph(n: int) -> Graph:
+    return build_graph(n, list(combinations(range(n), 2)))
 
 
 def petersen() -> Graph:

@@ -15,7 +15,7 @@ from trident import (
     shift_inequality_check,
 )
 from trident.bounds import BoundParams
-from trident.errors import InvalidArgument
+from trident.errors import IdentityViolation, InvalidArgument
 from conftest import complete_graph
 
 
@@ -138,6 +138,13 @@ class TestComplementIdentity:
             )
             lhs, rhs = complement_identity_check(g)
             assert lhs == rhs
+
+    def test_odd_degree_sum_raises(self):
+        # The parity of sum d(v)(n-1-d(v)) is a hard check, not an assert.
+        g = build_graph(3, [(0, 1)])
+        g.degrees = [1, 0, 0]  # 1 * (3 - 1 - 1) is odd
+        with pytest.raises(IdentityViolation):
+            complement_identity_check(g)
 
 
 def test_bound_attained_by_construction():

@@ -15,7 +15,7 @@ from trident import (
     verify_certificate,
 )
 from trident.bounds import _gls
-from trident.errors import DegreeExceeded, EmptyGraph
+from trident.errors import DegreeExceeded, EmptyGraph, IdentityViolation
 from trident.graph import max_degree
 from conftest import all_graphs, complete_graph
 
@@ -90,6 +90,15 @@ class TestPeel:
                 assert binomial(s.degree_at_choice + 1, 3) + _gls(
                     seen - s.degree_at_choice - 1, d, 3) <= _gls(seen, d, 3)
                 seen = s.remaining_vertices
+
+    def test_telescoping_overshoot_raises(self, monkeypatch):
+        # The telescoping step is a hard check, not an assert: a bound that
+        # shrinks as vertices go makes the first deletion overshoot it.
+        from trident import certify
+
+        monkeypatch.setattr(certify, "_gls", lambda n, d, t: -n)
+        with pytest.raises(IdentityViolation):
+            peel(complete_graph(4), 3)
 
     def test_deterministic(self):
         g = random_bounded_graph(40, 5, 7)

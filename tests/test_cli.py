@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +125,33 @@ def test_malformed_file_exits_2(tmp_path, capsys):
 
 def test_usage_error_exits_2():
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("name, data", [
+    ("bad.g6", "Bé\n".encode("utf-8")),  # decodes as UTF-8, but not graph6
+    ("bad.g6", b"B\xff\n"),
+    ("bad.el", b"2 1\n0 1 # \xe9\n"),
+    ("bad.el", "# caf\u00e9\n2 1\n0 1\n".encode("utf-8")),
+])
+def test_non_ascii_file_exits_2(tmp_path, capsys, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    assert run(["count", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bad_exhaustive_limit_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "abc")
+    assert run(["enumerate", "-n", "4", "-d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_python_m_trident(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "trident", "bound", "11", "3"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "q=2 r=3 bound=9"

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trident import (
@@ -20,20 +21,16 @@ from conftest import (
     brute_meeting,
     brute_triangles,
     brute_w,
+    by_both_kernels,
     complete_graph,
     meeting_counts_by_deletion,
     petersen,
+    use_kernel,
 )
 
-BACKENDS = ["bitset", "sorted"]
 
-
-def random_graph(rng, n, p=0.3, backend="bitset"):
-    return build_graph(
-        n,
-        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
-        backend=backend,
-    )
+def random_graph(rng, n, p=0.3):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 class TestTriangles:
@@ -47,21 +44,18 @@ class TestTriangles:
         g = petersen()
         assert count_triangles(g) == brute_triangles(g)  # == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exhaustive_small_vs_oracle(self, backend):
+    def test_exhaustive_small_vs_oracle(self, kernel):
         for n in range(6):
-            for g in all_graphs(n, backend):
+            for g in all_graphs(n):
                 assert count_triangles(g) == brute_triangles(g)
 
-    def test_backends_agree_random(self):
+    def test_backends_agree_random(self, monkeypatch):
         rng = random.Random(41)
         for _ in range(300):
             n = rng.randrange(1, 33)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < 0.2]
-            a = build_graph(n, edges, backend="bitset")
-            b = build_graph(n, edges, backend="sorted")
-            assert count_triangles(a) == count_triangles(b) == brute_triangles(a)
+            g = random_graph(rng, n, 0.2)
+            small, large = by_both_kernels(monkeypatch, count_triangles, g)
+            assert small == large == brute_triangles(g)
 
 
 class TestCliques:
@@ -86,13 +80,13 @@ class TestCliques:
             g = random_graph(rng, rng.randrange(1, 12), 0.5)
             assert count_cliques(g, 3) == count_triangles(g)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_vs_oracle(self, backend):
+    def test_vs_oracle(self, kernel):
         rng = random.Random(12)
         for _ in range(30):
-            g = random_graph(rng, rng.randrange(1, 9), 0.6, backend)
+            g = random_graph(rng, rng.randrange(1, 9), 0.6)
             for t in range(1, 6):
                 assert count_cliques(g, t) == brute_cliques(g, t)
+            assert count_cliques(g, 3) == count_triangles(g)
 
     def test_invalid_size(self):
         with pytest.raises(InvalidCliqueSize):
@@ -117,11 +111,10 @@ class TestMeeting:
         with pytest.raises(InvalidVertex):
             triangles_meeting(k4, 4)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_vs_oracle_and_decomposition(self, backend):
+    def test_vs_oracle_and_decomposition(self, kernel):
         rng = random.Random(13)
         for _ in range(20):
-            g = random_graph(rng, rng.randrange(1, 10), 0.5, backend)
+            g = random_graph(rng, rng.randrange(1, 10), 0.5)
             marked = meeting_counts(g)
             assert marked == meeting_counts_by_deletion(g)
             for v in range(g.n):
@@ -146,10 +139,9 @@ class TestW:
     def test_k3(self):
         assert count_w(complete_graph(3)) == 6
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exhaustive_vs_quadruple_loop(self, backend):
+    def test_exhaustive_vs_quadruple_loop(self, kernel):
         for n in range(5):
-            for g in all_graphs(n, backend):
+            for g in all_graphs(n):
                 assert count_w(g) == brute_w(g)
 
     def test_random_vs_quadruple_loop(self):
@@ -196,20 +188,50 @@ class TestFullReport:
         rep = full_report(complete_graph(4))
         assert CountsReport.from_dict(rep.to_dict()) == rep
 
+    def test_identity_mismatch_raises(self, monkeypatch):
+        assert_w_off_by_one_raises(monkeypatch, "_bitset_counts")
+
+    def test_degree_cube_sum_is_exact(self):
+        # A star with 2^21 leaves has centre degree 2^21 and cube 2^63, past int64.
+        from trident.counting import _degree_cube_sum
+
+        star = build_graph(2**21 + 1, np.stack([np.zeros(2**21, np.int64),
+                                                np.arange(1, 2**21 + 1)], axis=1))
+        assert _degree_cube_sum(star) == 2**63 + 2**21
+
+
+def assert_w_off_by_one_raises(monkeypatch, kernel_name):
+    """full_report raises IdentityViolation when the kernel's W is off by one."""
+    from trident import counting
+    from trident.errors import IdentityViolation
+
+    listing = getattr(counting, kernel_name)
+
+    def w_off_by_one(*args):
+        triangles, meeting, w = listing(*args)
+        return triangles, meeting, w + 1
+
+    monkeypatch.setattr(counting, kernel_name, w_off_by_one)
+    with pytest.raises(IdentityViolation):
+        full_report(complete_graph(5))
+
 
 def k4_rich_sorted_graphs():
-    """Sorted-backend graphs full of K4s: cliques, disjoint K5s, dense random."""
+    """Graphs full of K4s: cliques, disjoint K5s, dense random."""
     from trident import build_extremal
 
-    graphs = [complete_graph(k, "sorted") for k in range(4, 7)]
-    graphs.append(build_graph(12, build_extremal(12, 4).edge_list(), backend="sorted"))
+    graphs = [complete_graph(k) for k in range(4, 7)]
+    graphs.append(build_extremal(12, 4))
     rng = random.Random(17)
     for _ in range(8):
-        graphs.append(random_graph(rng, rng.randrange(5, 10), 0.8, backend="sorted"))
+        graphs.append(random_graph(rng, rng.randrange(5, 10), 0.8))
     return graphs
 
 
 class TestCsrReport:
+    """The numpy listing of the CSR, forced on small graphs by lowering the
+    bitset kernel's size limit."""
+
     def check_against_oracles(self, g):
         meeting = [brute_meeting(g, v) for v in range(g.n)]
         w = brute_w(g)
@@ -220,7 +242,8 @@ class TestCsrReport:
         assert rep.per_vertex_meeting == meeting
         assert rep.w_count == w
 
-    def test_k4_rich_vs_oracles(self):
+    def test_k4_rich_vs_oracles(self, monkeypatch):
+        use_kernel(monkeypatch, "sorted")
         for g in k4_rich_sorted_graphs():
             self.check_against_oracles(g)
 
@@ -228,45 +251,34 @@ class TestCsrReport:
         # With a budget of 3 wedges, triangles and K4s span several chunks.
         from trident import _fast
 
+        use_kernel(monkeypatch, "sorted")
         monkeypatch.setattr(_fast, "WEDGE_BUDGET", 3)
         for g in k4_rich_sorted_graphs():
             self.check_against_oracles(g)
 
-    def test_matches_bitset_random(self):
+    def test_matches_bitset_random(self, monkeypatch):
         rng = random.Random(18)
         for _ in range(40):
             n = rng.randrange(1, 20)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < rng.random()]
-            a = build_graph(n, edges, backend="bitset")
-            b = build_graph(n, edges, backend="sorted")
-            assert full_report(a) == full_report(b)
-            assert meeting_counts(a) == meeting_counts(b)
-            assert count_w(a) == count_w(b)
+            g = random_graph(rng, n, rng.random())
+            for fn in (full_report, meeting_counts, count_w):
+                small, large = by_both_kernels(monkeypatch, fn, g)
+                assert small == large
 
     def test_identity_mismatch_raises(self, monkeypatch):
-        from trident import counting
-        from trident.errors import IdentityViolation
-
-        listing = counting._csr_counts
-
-        def w_off_by_one(g):
-            triangles, meeting, w = listing(g)
-            return triangles, meeting, w + 1
-
-        monkeypatch.setattr(counting, "_csr_counts", w_off_by_one)
-        with pytest.raises(IdentityViolation):
-            full_report(complete_graph(5, "sorted"))
+        use_kernel(monkeypatch, "sorted")
+        assert_w_off_by_one_raises(monkeypatch, "_csr_counts")
 
     def test_no_neighbor_masks(self, monkeypatch):
         from trident.graph import Graph
 
-        g = build_graph(12, list(combinations(range(6), 2)), backend="sorted")  # K6 + 6 isolated
+        g = build_graph(12, list(combinations(range(6), 2)))  # K6 + 6 isolated
 
-        def refuse(self, v):
-            raise AssertionError("the sorted backend built an n-bit neighbor mask")
+        def refuse(self):
+            raise AssertionError("the numpy listing built n-bit neighbor masks")
 
-        monkeypatch.setattr(Graph, "neighbor_mask", refuse)
+        use_kernel(monkeypatch, "sorted")
+        monkeypatch.setattr(Graph, "neighbor_masks", refuse)
         assert count_triangles(g) == 20
         assert meeting_counts(g) == [20] * 6 + [0] * 6
         assert count_w(g) == 6 * 5
@@ -277,7 +289,7 @@ class TestKernelParity:
     def test_forward_triangle_kernels_agree(self, monkeypatch):
         import numpy as np
         from trident import _fast
-        from trident.counting import _forward_csr
+        from trident.counting import _edge_keys, _forward_csr
 
         def lexsort_forward(g):
             # (degree, index) rank and (head, tail) order by two lexsorts
@@ -298,15 +310,15 @@ class TestKernelParity:
             ref_ip, ref_ix = lexsort_forward(g)
             assert ip.dtype == ix.dtype == np.int64
             assert np.array_equal(ip, ref_ip) and np.array_equal(ix, ref_ix)
-            bitset = build_graph(g.n, g.edge_list(), backend="bitset")
-            assert _fast.forward_triangles(ip, ix) == brute_triangles(g) == count_triangles(bitset)
+            listed = _fast.forward_triangles(ip, ix, _edge_keys(g))
+            assert listed == brute_triangles(g) == count_triangles(g)  # the bitset kernel
             return ip
 
         rng = random.Random(99)
-        graphs = [build_graph(9, [], backend="sorted"),  # no edges
-                  build_graph(8, [(0, 1), (2, 3), (4, 5), (1, 2)], backend="sorted")]
+        graphs = [build_graph(9, []),  # no edges
+                  build_graph(8, [(0, 1), (2, 3), (4, 5), (1, 2)])]
         for _ in range(20):
-            graphs.append(random_graph(rng, rng.randrange(2, 40), 0.2, backend="sorted"))
+            graphs.append(random_graph(rng, rng.randrange(2, 40), 0.2))
         indptrs = [check(g) for g in graphs]
         assert (np.diff(indptrs[1]) <= 1).all()  # every forward row has length <= 1
 
@@ -315,10 +327,39 @@ class TestKernelParity:
         monkeypatch.setattr(_fast, "WEDGE_BUDGET", 3)
         split = long = 0
         for _ in range(10):
-            out_deg = np.diff(check(random_graph(rng, rng.randrange(20, 40), 0.4, backend="sorted")))
+            out_deg = np.diff(check(random_graph(rng, rng.randrange(20, 40), 0.4)))
             split += (out_deg == 3).sum() > 1
             long += (out_deg > 3).any()
         assert split and long
+
+    def test_edge_keys_read_off_the_csr(self, monkeypatch):
+        # The entries head < tail of the CSR are the keys the listing used to
+        # sort out of the forward CSR, so every closing edge keeps its position.
+        from trident import _fast
+        from trident.counting import _edge_keys, _forward_csr
+
+        def sorted_forward_keys(indptr, indices):
+            n = indptr.size - 1
+            heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            keys = np.minimum(heads, indices) * n + np.maximum(heads, indices)
+            keys.sort()
+            return keys
+
+        rng = random.Random(98)
+        graphs = [build_graph(5, []), complete_graph(7)]
+        graphs += [random_graph(rng, rng.randrange(2, 40), rng.random()) for _ in range(20)]
+        monkeypatch.setattr(_fast, "WEDGE_BUDGET", 3)
+        for g in graphs:
+            ip, ix = _forward_csr(g)
+            keys, old = _edge_keys(g), sorted_forward_keys(ip, ix)
+            assert keys.dtype == np.int64 and np.array_equal(keys, old)
+            chunks = list(_fast.forward_triangle_chunks(ip, ix, keys))
+            old_chunks = list(_fast.forward_triangle_chunks(ip, ix, old))
+            assert len(chunks) == len(old_chunks)
+            for new_arrays, old_arrays in zip(chunks, old_chunks):
+                assert all(np.array_equal(a, b) for a, b in zip(new_arrays, old_arrays))
+            for h, v, w, pos in chunks:
+                assert np.array_equal(keys[pos], np.minimum(v, w) * g.n + np.maximum(v, w))
 
     def test_proposal_kernels_agree(self):
         import numpy as np

@@ -7,13 +7,16 @@ from trident import (
     build_extremal,
     build_graph,
     canonical_form,
+    count_cliques,
     count_triangles,
+    counting,
     enumerate_and_verify,
     gls_bound,
     max_degree,
     random_bounded_graph,
 )
-from trident.errors import ExhaustiveLimitExceeded, TooLargeForCanonicalization
+from trident.enumerator import exhaustive_limit
+from trident.errors import ExhaustiveLimitExceeded, InvalidArgument, TooLargeForCanonicalization
 from conftest import complete_graph
 
 
@@ -51,7 +54,8 @@ class TestRandomBounded:
 
     def test_large_sparse(self):
         g = random_bounded_graph(10**5, 16, 3)
-        assert g.backend == "sorted"
+        assert g.n * g.n > counting.DENSE_BIT_BUDGET  # counted by the numpy listing
+        assert count_triangles(g) == count_cliques(g, 3)
         assert max_degree(g) <= 16
 
 
@@ -133,6 +137,13 @@ class TestEnumerate:
         monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "4")
         with pytest.raises(ExhaustiveLimitExceeded):
             enumerate_and_verify(5, 3, 3)
+
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "abc")
+        with pytest.raises(InvalidArgument):
+            exhaustive_limit()
+        with pytest.raises(InvalidArgument):
+            enumerate_and_verify(3, 2, 3)
 
     def test_jobs_agree_with_serial(self):
         serial = enumerate_and_verify(6, 3, 3, jobs=1)

@@ -70,6 +70,10 @@ class TestGraph6:
         g = complete_graph(4)
         assert read_graph6(">>graph6<<" + write_graph6(g)) == g
 
+    def test_non_ascii_rejected(self):
+        with pytest.raises(FormatError):
+            read_graph6("Bé")
+
     def test_other_header_rejected(self):
         with pytest.raises(FormatError):
             read_graph6(">>sparse6<<:Cdv")

@@ -1,121 +1,170 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trident import (
-    VertexSet,
     build_graph,
     closed_neighborhood,
     complement,
     delete_vertices,
+    full_report,
     max_degree,
 )
-from trident.errors import EmptyGraph, InvalidVertex, SelfLoopRejected
-from conftest import complete_graph
-
-BACKENDS = ["bitset", "sorted"]
+from trident.errors import EmptyGraph, InvalidArgument, InvalidVertex, SelfLoopRejected
+from trident.graph import _iter_bits
+from conftest import brute_meeting, brute_triangles, complete_graph
 
 
 def random_edges(rng, n, p=0.4):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def assert_kernel_reads(g):
+    """The active counting kernel reads g's CSR: its report matches the oracles."""
+    rep = full_report(g)
+    assert rep.triangle_count == brute_triangles(g)
+    assert rep.per_vertex_meeting == [brute_meeting(g, v) for v in range(g.n)]
+
+
 class TestBuild:
-    def test_triangle(self, backend):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)], backend=backend)
+    def test_triangle(self, kernel):
+        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.degrees == [2, 2, 2]
         assert g.m == 3
+        assert_kernel_reads(g)
 
-    def test_empty(self, backend):
-        g = build_graph(4, [], backend=backend)
+    def test_empty(self, kernel):
+        g = build_graph(4, [])
         assert g.degrees == [0, 0, 0, 0]
         assert g.m == 0
+        assert_kernel_reads(g)
 
-    def test_duplicate_edges_idempotent(self, backend):
-        g = build_graph(2, [(0, 1), (1, 0)], backend=backend)
+    def test_duplicate_edges_idempotent(self, kernel):
+        g = build_graph(2, [(0, 1), (1, 0)])
         assert g.degrees == [1, 1]
         assert g.m == 1
+        assert_kernel_reads(g)
 
-    def test_out_of_range_rejected(self, backend):
+    def test_out_of_range_rejected(self, kernel):
         with pytest.raises(InvalidVertex):
-            build_graph(3, [(0, 3)], backend=backend)
+            build_graph(3, [(0, 3)])
         with pytest.raises(InvalidVertex):
-            build_graph(3, [(-1, 0)], backend=backend)
+            build_graph(3, [(-1, 0)])
 
-    def test_self_loop_rejected(self, backend):
+    def test_self_loop_rejected(self, kernel):
         with pytest.raises(SelfLoopRejected):
-            build_graph(3, [(1, 1)], backend=backend)
+            build_graph(3, [(1, 1)])
 
-    def test_symmetry_and_degree_cache(self, backend):
+    def test_symmetry_and_degree_cache(self, kernel):
         rng = random.Random(7)
-        g = build_graph(9, random_edges(rng, 9), backend=backend)
+        g = build_graph(9, random_edges(rng, 9))
         for u in range(9):
             for v in range(9):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
             assert g.degrees[u] == len(g.neighbors(u))
             assert u not in g.neighbors(u)
+        assert_kernel_reads(g)
+
+    def test_csr_rows_sorted_without_duplicates(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randrange(1, 12)
+            edges = random_edges(rng, n)
+            g = build_graph(n, edges + [(v, u) for u, v in edges])
+            assert g._indptr.dtype == g._indices.dtype == np.int64
+            for v in range(n):
+                row = g.neighbors(v)
+                assert row == sorted(set(row))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNeighborhood:
-    def test_complete(self, backend):
-        g = complete_graph(3, backend)
-        assert closed_neighborhood(g, 0).members() == [0, 1, 2]
+    def test_complete(self, kernel):
+        g = complete_graph(3)
+        assert closed_neighborhood(g, 0) == [0, 1, 2]
+        assert_kernel_reads(g)
 
-    def test_isolated(self, backend):
-        g = build_graph(4, [], backend=backend)
-        assert closed_neighborhood(g, 2).members() == [2]
+    def test_isolated(self, kernel):
+        g = build_graph(4, [])
+        assert closed_neighborhood(g, 2) == [2]
+        assert_kernel_reads(g)
 
-    def test_star_leaf(self, backend):
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3)], backend=backend)
-        assert closed_neighborhood(g, 1).members() == [0, 1]
+    def test_star_leaf(self, kernel):
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert closed_neighborhood(g, 1) == [0, 1]
+        assert_kernel_reads(g)
 
-    def test_size_is_degree_plus_one(self, backend):
+    def test_size_is_degree_plus_one(self, kernel):
         rng = random.Random(3)
-        g = build_graph(8, random_edges(rng, 8), backend=backend)
+        g = build_graph(8, random_edges(rng, 8))
         for v in range(8):
-            assert len(closed_neighborhood(g, v)) == g.degrees[v] + 1
+            members = closed_neighborhood(g, v)
+            assert len(members) == g.degrees[v] + 1
+            assert members == sorted(g.neighbors(v) + [v])
+        assert_kernel_reads(g)
 
-    def test_invalid_vertex(self, backend):
-        g = build_graph(3, [], backend=backend)
+    def test_invalid_vertex(self, kernel):
+        g = build_graph(3, [])
         with pytest.raises(InvalidVertex):
             closed_neighborhood(g, 3)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDelete:
-    def test_k4_minus_vertex_is_k3(self, backend):
-        g = complete_graph(4, backend)
-        sub, kept = delete_vertices(g, VertexSet.from_vertices(4, [0]))
+    def test_k4_minus_vertex_is_k3(self, kernel):
+        g = complete_graph(4)
+        sub, kept = delete_vertices(g, [0])
         assert kept == [1, 2, 3]
         assert sub == complete_graph(3)
+        assert_kernel_reads(sub)
 
-    def test_component_removal(self, backend):
+    def test_component_removal(self, kernel):
         # K4 on 0..3 plus an edge 4-5; deleting N[4] leaves the K4
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(4, 5)]
-        g = build_graph(6, edges, backend=backend)
+        g = build_graph(6, edges)
         sub, kept = delete_vertices(g, closed_neighborhood(g, 4))
         assert kept == [0, 1, 2, 3]
         assert sub == complete_graph(4)
+        assert_kernel_reads(sub)
 
-    def test_empty_deletion_is_identity(self, backend):
+    def test_empty_deletion_is_identity(self, kernel):
         rng = random.Random(11)
-        g = build_graph(7, random_edges(rng, 7), backend=backend)
-        sub, kept = delete_vertices(g, VertexSet(0, 7))
+        g = build_graph(7, random_edges(rng, 7))
+        sub, kept = delete_vertices(g, [])
         assert kept == list(range(7))
         assert sub == build_graph(7, g.edge_list())
+        assert_kernel_reads(sub)
 
-    def test_vertex_count_drops_by_set_size(self, backend):
+    def test_vertex_count_drops_by_set_size(self, kernel):
         rng = random.Random(5)
         for _ in range(25):
             n = rng.randrange(1, 9)
-            g = build_graph(n, random_edges(rng, n), backend=backend)
-            s = VertexSet.from_vertices(n, [v for v in range(n) if rng.random() < 0.5])
+            g = build_graph(n, random_edges(rng, n))
+            s = [v for v in range(n) if rng.random() < 0.5]
             sub, _ = delete_vertices(g, s)
             assert sub.n == n - len(s)
+            assert_kernel_reads(sub)
+
+    def test_matches_induced_subgraph(self):
+        # Relabeling by rank among survivors keeps every row sorted, so the
+        # result equals a fresh build of the induced edges.
+        rng = random.Random(6)
+        for _ in range(40):
+            n = rng.randrange(1, 12)
+            g = build_graph(n, random_edges(rng, n))
+            gone = rng.sample(range(n), rng.randrange(0, n + 1))
+            sub, kept = delete_vertices(g, gone)
+            assert kept == [v for v in range(n) if v not in gone]
+            new = {old: i for i, old in enumerate(kept)}
+            assert sub == build_graph(len(kept), [(new[u], new[v]) for u, v in g.edges()
+                                                  if u in new and v in new])
+
+    def test_bad_vertex_rejected(self):
+        g = complete_graph(4)
+        for bad in ([4], [-1], [0, 7], [1.0]):
+            with pytest.raises(InvalidVertex):
+                delete_vertices(g, bad)
 
 
 class TestComplement:
@@ -136,6 +185,10 @@ class TestComplement:
         g = build_graph(n, random_edges(rng, n))
         assert complement(complement(g)) == g
 
+    def test_too_large_rejected(self):
+        with pytest.raises(InvalidArgument):
+            complement(build_graph(2**12 + 1, []))
+
 
 class TestMaxDegree:
     def test_examples(self):
@@ -149,21 +202,33 @@ class TestMaxDegree:
             max_degree(build_graph(0, []))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_edge_list_round_trip(backend):
+def test_edge_list_round_trip(kernel):
     rng = random.Random(17)
     for _ in range(30):
         n = rng.randrange(0, 10)
-        g = build_graph(n, random_edges(rng, n), backend=backend)
-        assert build_graph(n, g.edge_list(), backend=backend) == g
+        g = build_graph(n, random_edges(rng, n))
+        back = build_graph(n, g.edge_list())
+        assert back == g
+        assert_kernel_reads(back)
 
 
 def test_backends_agree_on_structure():
+    # The bitset kernel's neighbor masks and an array-built graph agree with the CSR.
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randrange(1, 12)
         edges = random_edges(rng, n)
-        a = build_graph(n, edges, backend="bitset")
-        b = build_graph(n, edges, backend="sorted")
-        assert a.edge_list() == b.edge_list()
-        assert a.degrees == b.degrees
+        g = build_graph(n, edges)
+        rows = g.neighbor_masks()
+        assert [list(_iter_bits(r)) for r in rows] == [g.neighbors(v) for v in range(n)]
+        assert [r.bit_count() for r in rows] == g.degrees
+        assert build_graph(n, np.array(edges, np.int64).reshape(-1, 2)) == g
+        assert g.edge_list() == edges
+
+
+def test_neighbor_masks_across_blocks():
+    # n = 5000 packs its rows in two blocks of at most 2^24 bools.
+    from trident import random_bounded_graph
+
+    g = random_bounded_graph(5000, 3, 0)
+    assert g.neighbor_masks() == [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
