@@ -5,19 +5,21 @@ neighborhood meets few triangles, recording one step per deletion; the
 resulting certificate is a machine-checkable transcript showing the
 graph's triangle count is reached by steps of at most C(d(v)+1, 3) each.
 
-``verify_certificate`` replays a certificate using only its recorded
-vertices and counting routines disjoint from the fast path used by peel.
+``verify_certificate`` replays a certificate on the input graph's own
+vertex ids. It keeps each vertex's set of surviving neighbors and, per
+step, recounts the triangles meeting N[v] locally by set intersections:
+O(d^3) per step, with no code shared with ``peel`` or ``trident.counting``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .bounds import _gls, binomial, gls_bound
 from .counting import meeting_counts
-from .errors import DegreeExceeded, EmptyGraph, IdentityViolation
+from .errors import DegreeExceeded, EmptyGraph, FormatError, IdentityViolation
 from .formats import graph_hash
 from .graph import Graph, closed_neighborhood, delete_vertices, max_degree
 
@@ -33,13 +35,7 @@ class PeelStep:
     remaining_vertices: int
 
     def to_dict(self) -> dict:
-        return {
-            "chosen_vertex": self.chosen_vertex,
-            "original_vertex": self.original_vertex,
-            "degree_at_choice": self.degree_at_choice,
-            "triangles_removed": self.triangles_removed,
-            "remaining_vertices": self.remaining_vertices,
-        }
+        return dict(vars(self))  # the fields, in declaration order
 
 
 @dataclass(frozen=True)
@@ -55,45 +51,53 @@ class PeelCertificate:
     total_triangles: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "input_hash": self.input_hash,
-            "hash_algorithm": self.hash_algorithm,
-            "n": self.n,
-            "d": self.d,
-            "q": self.q,
-            "r": self.r,
-            "bound": self.bound,
-            "steps": [s.to_dict() for s in self.steps],
-            "total_triangles": self.total_triangles,
-        }
+        """The JSON layout: every field in declaration order, steps as dicts."""
+        return {**vars(self), "steps": [s.to_dict() for s in self.steps]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PeelCertificate":
-        return cls(
-            input_hash=d["input_hash"],
-            hash_algorithm=d["hash_algorithm"],
-            n=d["n"],
-            d=d["d"],
-            q=d["q"],
-            r=d["r"],
-            bound=d["bound"],
-            steps=[PeelStep(**s) for s in d["steps"]],
-            total_triangles=d["total_triangles"],
-        )
+        """Build from the ``to_dict`` layout; anything else raises FormatError."""
+        _check_fields(d, _HEADER_FIELDS, "certificate")
+        for i, s in enumerate(d["steps"]):
+            _check_fields(s, _STEP_FIELDS, f"certificate step {i}")
+        return cls(**{**d, "steps": [PeelStep(**s) for s in d["steps"]]})
 
     @classmethod
-    def from_json(cls, text: str) -> "PeelCertificate":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "PeelCertificate":
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as e:  # bad JSON or undecodable bytes
+            raise FormatError(f"certificate is not valid JSON: {e}") from None
+        return cls.from_dict(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "PeelCertificate":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_bytes())
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
+
+
+# Field name -> required type of the JSON layout; every int field refuses bools.
+_STEP_FIELDS = {f.name: int for f in fields(PeelStep)}
+_HEADER_FIELDS = {f.name: int for f in fields(PeelCertificate)}
+_HEADER_FIELDS.update(input_hash=str, hash_algorithm=str, steps=list)
+
+
+def _check_fields(obj, types: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} must be a JSON object")
+    if obj.keys() != types.keys():
+        missing = sorted(types.keys() - obj.keys(), key=str)
+        extra = sorted(obj.keys() - types.keys(), key=str)
+        raise FormatError(f"{where}: missing fields {missing}, unexpected fields {extra}")
+    for name, kind in types.items():
+        value = obj[name]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise FormatError(f"{where}: field {name!r} must be {kind.__name__}")
 
 
 def select_vertex(g: Graph) -> int:
@@ -169,8 +173,6 @@ def _argmin_slack(g: Graph, counts: list[int]) -> int:
 
 # -- independent verification ---------------------------------------------
 
-BRUTE_LIMIT = 64  # below this, replay recounts triangles by plain enumeration
-
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -181,47 +183,20 @@ class VerifyResult:
         return self.ok
 
 
-def _indep_triangles(g: Graph) -> int:
-    """Sorted-adjacency merge count, kept separate from the counting kernels."""
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    total = 0
-    for u in range(g.n):
-        row_u = nbrs[u]
-        for v in row_u:
-            if v <= u:
-                continue
-            row_v = nbrs[v]
-            a = b = 0
-            while a < len(row_u) and b < len(row_v):
-                x, y = row_u[a], row_v[b]
-                if x == y:
-                    if x > v:
-                        total += 1
-                    a += 1
-                    b += 1
-                elif x < y:
-                    a += 1
-                else:
-                    b += 1
-    return total
+def _meeting_triangles(nbrs: list[set[int]], closed: set[int]) -> int:
+    """Triangles of the surviving graph with a vertex in ``closed``.
 
-
-def _indep_meeting(g: Graph, v: int) -> int:
-    """|T_N[v]| by brute enumeration (small n) or the decomposition identity."""
-    if g.n <= BRUTE_LIMIT:
-        nbrs = [set(g.neighbors(u)) for u in range(g.n)]
-        closed = nbrs[v] | {v}
-        count = 0
-        for a in range(g.n):
-            for b in nbrs[a]:
-                if b <= a:
-                    continue
-                for c in nbrs[a] & nbrs[b]:
-                    if c > b and (a in closed or b in closed or c in closed):
-                        count += 1
-        return count
-    rest, _ = delete_vertices(g, closed_neighborhood(g, v))
-    return _indep_triangles(g) - _indep_triangles(rest)
+    Each triangle is counted once, at the first of its members in
+    ``closed`` that the loop reaches: O(|closed| * d^2) set work.
+    """
+    count = 0
+    done: set[int] = set()
+    for a in closed:
+        done.add(a)
+        rest = nbrs[a] - done
+        for b in rest:
+            count += len(rest & nbrs[b])
+    return count // 2  # each pair {b, c} of a's neighbors was seen from b and from c
 
 
 def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
@@ -242,33 +217,40 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
     if cert.bound != q * binomial(cert.d + 1, 3) + binomial(r, 3):
         return VerifyResult(False, "bound value mismatch")
 
-    cur = g
-    orig = list(range(g.n))
+    # The replay runs on g's own ids: each vertex keeps the set of its
+    # surviving neighbors, and a step's relabeled id is its alive rank.
+    n = g.n
+    indptr, indices = g._indptr.tolist(), g._indices.tolist()
+    nbrs = [set(indices[indptr[u]:indptr[u + 1]]) for u in range(n)]
+    alive = bytearray(b"\x01") * n
+    remaining = n
     total = 0
     for i, step in enumerate(cert.steps):
-        if cur.n == 0:
+        if remaining == 0:
             return VerifyResult(False, f"step {i}: peel continues past empty graph")
-        pos = {o: c for c, o in enumerate(orig)}
-        if step.original_vertex not in pos:
+        v = step.original_vertex
+        if not (isinstance(v, int) and 0 <= v < n and alive[v]):
             return VerifyResult(False, f"step {i}: original vertex already deleted")
-        v = pos[step.original_vertex]
-        if step.chosen_vertex != v:
+        if step.chosen_vertex != alive.count(1, 0, v):
             return VerifyResult(False, f"step {i}: chosen vertex inconsistent with relabeling")
-        if step.degree_at_choice != cur.degrees[v]:
+        if step.degree_at_choice != len(nbrs[v]):
             return VerifyResult(False, f"step {i}: degree mismatch")
-        tri = _indep_meeting(cur, v)
+        closed = nbrs[v] | {v}
+        tri = _meeting_triangles(nbrs, closed)
         if step.triangles_removed != tri:
             return VerifyResult(False, f"step {i}: triangles_removed mismatch")
         if tri > binomial(step.degree_at_choice + 1, 3):
             return VerifyResult(False, f"step {i}: step bound violated")
-        nxt, kept = delete_vertices(cur, closed_neighborhood(cur, v))
-        if step.remaining_vertices != nxt.n:
+        for u in closed:
+            alive[u] = 0
+            for x in nbrs[u]:
+                nbrs[x].discard(u)
+        remaining -= len(closed)
+        if step.remaining_vertices != remaining:
             return VerifyResult(False, f"step {i}: remaining vertex count mismatch")
         total += tri
-        orig = [orig[o] for o in kept]
-        cur = nxt
 
-    if cur.n != 0:
+    if remaining != 0:
         return VerifyResult(False, "peel incomplete: vertices remain after last step")
     if cert.total_triangles != total:
         return VerifyResult(False, "total triangle mismatch")

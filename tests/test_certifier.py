@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from trident import (
     verify_certificate,
 )
 from trident.bounds import _gls
-from trident.errors import DegreeExceeded, EmptyGraph, IdentityViolation
+from trident.certify import PeelStep
+from trident.errors import DegreeExceeded, EmptyGraph, FormatError, IdentityViolation
 from trident.graph import max_degree
 from conftest import all_graphs, complete_graph
 
@@ -172,3 +174,130 @@ class TestVerify:
         cert.save(p)
         assert PeelCertificate.load(p) == cert
         assert verify_certificate(g, PeelCertificate.load(p))
+
+
+def _with_step(cert: PeelCertificate, k: int, **changes) -> PeelCertificate:
+    steps = list(cert.steps)
+    steps[k] = PeelStep(**{**steps[k].to_dict(), **changes})
+    return dataclasses.replace(cert, steps=steps)
+
+
+def _near_extremal():
+    g = build_extremal(102, 16)  # 6 K17
+    drop = {(0, 1), (17, 30), (40, 41), (85, 101)}
+    return build_graph(102, [e for e in g.edges() if e not in drop])
+
+
+class TestLocalReplay:
+    """Round trips and tampers on graphs of 65 to 200 vertices."""
+
+    @pytest.fixture(scope="class")
+    def peeled(self):
+        rng = random.Random(34)
+        cases = []
+        for _ in range(12):
+            n, d = rng.randrange(65, 201), rng.randrange(1, 17)
+            g = random_bounded_graph(n, d, rng.randrange(2**31))
+            cases.append((g, peel(g, d)))
+        g = _near_extremal()
+        cases.append((g, peel(g, 16)))
+        return cases
+
+    def test_round_trip(self, peeled):
+        for g, cert in peeled:
+            assert verify_certificate(g, cert)
+        g, cert = peeled[-1]
+        assert 0 < cert.total_triangles < cert.bound
+
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_triangles_removed_tamper(self, peeled, where, delta):
+        for g, cert in peeled:
+            k = len(cert.steps) // 2 if where == "middle" else len(cert.steps) - 1
+            bad = _with_step(cert, k, triangles_removed=cert.steps[k].triangles_removed + delta)
+            res = verify_certificate(g, bad)
+            assert not res and res.reason == f"step {k}: triangles_removed mismatch"
+
+    @pytest.mark.parametrize("vertex", [-1, "n"])
+    def test_out_of_range_vertex(self, vertex):
+        g = random_bounded_graph(80, 6, 5)
+        cert = peel(g, 6)
+        bad = _with_step(cert, 1, original_vertex=g.n if vertex == "n" else vertex)
+        res = verify_certificate(g, bad)
+        assert not res and res.reason == "step 1: original vertex already deleted"
+
+    def test_shares_no_code_with_peel(self, monkeypatch):
+        from trident import certify, counting
+
+        g = _near_extremal()
+        certs = [(g, peel(g, 16))]
+        for n in (70, 150):
+            h = random_bounded_graph(n, 9, n)
+            certs.append((h, peel(h, 9)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay must not call this")
+
+        for module, name in [(counting, "_counts"), (certify, "delete_vertices"),
+                             (certify, "closed_neighborhood"), (certify, "meeting_counts")]:
+            monkeypatch.setattr(module, name, refuse)
+        for h, cert in certs:
+            assert verify_certificate(h, cert)
+
+
+class TestStrictSchema:
+    @pytest.fixture
+    def data(self):
+        return peel(build_extremal(9, 3), 3).to_dict()
+
+    def test_valid_round_trip(self, data):
+        assert PeelCertificate.from_dict(data).to_dict() == data
+
+    @pytest.mark.parametrize("text", ["", "not json", "{", "[1, 2]", "null", "3", "[" * 100_000])
+    def test_not_a_json_object(self, text):
+        with pytest.raises(FormatError):
+            PeelCertificate.from_json(text)
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "cert.json"
+        p.write_bytes(b'{"n": "\xff"}')
+        with pytest.raises(FormatError):
+            PeelCertificate.load(p)
+
+    @pytest.mark.parametrize("key", ["bound", "steps", "input_hash", "total_triangles"])
+    def test_missing_header_key(self, data, key):
+        del data[key]
+        with pytest.raises(FormatError, match=key):
+            PeelCertificate.from_dict(data)
+
+    def test_extra_header_key(self, data):
+        data["comment"] = "hi"
+        with pytest.raises(FormatError, match="comment"):
+            PeelCertificate.from_dict(data)
+
+    def test_missing_step_key(self, data):
+        del data["steps"][1]["degree_at_choice"]
+        with pytest.raises(FormatError, match="step 1"):
+            PeelCertificate.from_dict(data)
+
+    def test_extra_step_key(self, data):
+        data["steps"][0]["note"] = 1
+        with pytest.raises(FormatError, match="step 0"):
+            PeelCertificate.from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", True), ("d", 3.0), ("q", "2"), ("r", None), ("bound", [9]),
+        ("total_triangles", False), ("input_hash", 7), ("hash_algorithm", None),
+        ("steps", {}), ("steps", [[1, 2, 3, 4, 5]]),
+    ])
+    def test_wrong_header_type(self, data, key, value):
+        data[key] = value
+        with pytest.raises(FormatError):
+            PeelCertificate.from_dict(data)
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PeelStep)])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_wrong_step_type(self, data, key, value):
+        data["steps"][0][key] = value
+        with pytest.raises(FormatError, match=key):
+            PeelCertificate.from_dict(data)

@@ -155,3 +155,32 @@ def test_python_m_trident(tmp_path):
                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
     assert out.returncode == 0
     assert out.stdout.strip() == "q=2 r=3 bound=9"
+
+
+def _mangled(data: dict, kind: str) -> bytes:
+    if kind == "not-json":
+        return b"not json"
+    if kind == "undecodable":
+        return b"\xff\xfe{"
+    if kind == "not-an-object":
+        data = data["steps"]
+    elif kind == "no-bound":
+        del data["bound"]
+    elif kind == "extra-step-key":
+        data["steps"][0]["note"] = 1
+    elif kind == "bool-field":
+        data["n"] = True
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("kind", ["not-json", "undecodable", "not-an-object", "no-bound",
+                                  "extra-step-key", "bool-field"])
+def test_verify_malformed_certificate_exits_2(tmp_path, capsys, kind):
+    gpath = tmp_path / "g.g6"
+    g = build_extremal(9, 3)
+    save_graph(g, gpath)
+    cpath = tmp_path / "cert.json"
+    cpath.write_bytes(_mangled(peel(g, 3).to_dict(), kind))
+    assert run(["verify", str(gpath), str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
