@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import IdentityViolation, InvalidArgument
-from .graph import Graph, complement
-from .counting import count_triangles
+from .graph import Graph
+from .counting import _bitset_counts, count_triangles
 
 
 def binomial(k: int, j: int) -> int:
@@ -82,8 +82,12 @@ def merge_bound(a: int, b: int, c: int) -> int:
 
 def complement_identity_check(g: Graph) -> tuple[int, int]:
     """Both sides of |T(G)| + |T(G^c)| = C(n,3) - (1/2) sum_v d(v)(n-1-d(v))."""
-    lhs = count_triangles(g) + count_triangles(complement(g))
     n = g.n
+    if n * n > 2**24:  # the complement's n-bit rows take n^2/8 bytes
+        raise InvalidArgument(f"complement of an n={n} graph is too large to count")
+    full = (1 << n) - 1
+    rows = [full ^ r ^ (1 << v) for v, r in enumerate(g.neighbor_masks())]
+    lhs = count_triangles(g) + _bitset_counts(rows, want_meeting=False)[0]
     s = sum(d * (n - 1 - d) for d in g.degrees)
     # each non-edge at distance-2 pair is counted from both ends, so s is even
     if s % 2:

@@ -34,6 +34,9 @@ class PeelStep:
     triangles_removed: int
     remaining_vertices: int
 
+    def __post_init__(self) -> None:
+        _check_fields(vars(self), _STEP_FIELDS, "certificate step")
+
     def to_dict(self) -> dict:
         return dict(vars(self))  # the fields, in declaration order
 
@@ -49,6 +52,11 @@ class PeelCertificate:
     bound: int
     steps: list[PeelStep] = field(default_factory=list)
     total_triangles: int = 0
+
+    def __post_init__(self) -> None:
+        _check_fields(vars(self), _HEADER_FIELDS, "certificate")
+        if not all(isinstance(s, PeelStep) for s in self.steps):
+            raise FormatError("certificate: field 'steps' must hold PeelStep objects")
 
     def to_dict(self) -> dict:
         """The JSON layout: every field in declaration order, steps as dicts."""
@@ -81,7 +89,7 @@ class PeelCertificate:
         Path(path).write_text(self.to_json() + "\n")
 
 
-# Field name -> required type of the JSON layout; every int field refuses bools.
+# Field name -> required type, for built and loaded certificates; ints refuse bools.
 _STEP_FIELDS = {f.name: int for f in fields(PeelStep)}
 _HEADER_FIELDS = {f.name: int for f in fields(PeelCertificate)}
 _HEADER_FIELDS.update(input_hash=str, hash_algorithm=str, steps=list)

@@ -6,10 +6,12 @@ neighborhood, plus the ordered-4-tuple statistic W(G), equals the sum of
 cubed degrees.  A failure is an implementation bug, never a property of
 the input, and raises IdentityViolation.
 
-Every count comes from one of two kernels over the graph's CSR, chosen in
+Triangles, meeting counts and W come from one of two kernels, chosen in
 ``_counts`` by size: word-parallel bitset operations on n-bit rows built as
 scratch for small graphs, and the numpy forward triangle listing of
-``_fast`` for large ones.
+``_fast`` for large ones.  t-cliques for t >= 3, and the K4 term of the
+large graphs' W, come from that listing for every n, each triangle grown
+one vertex at a time in pieces of bounded size.
 """
 
 from __future__ import annotations
@@ -32,23 +34,11 @@ class CountsReport:
     omega_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "triangle_count": self.triangle_count,
-            "per_vertex_meeting": list(self.per_vertex_meeting),
-            "w_count": self.w_count,
-            "degree_cube_sum": self.degree_cube_sum,
-            "omega_count": self.omega_count,
-        }
+        return {**vars(self), "per_vertex_meeting": list(self.per_vertex_meeting)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CountsReport":
-        return cls(
-            triangle_count=d["triangle_count"],
-            per_vertex_meeting=list(d["per_vertex_meeting"]),
-            w_count=d["w_count"],
-            degree_cube_sum=d["degree_cube_sum"],
-            omega_count=d["omega_count"],
-        )
+        return cls(**{**d, "per_vertex_meeting": list(d["per_vertex_meeting"])})
 
 
 # -- kernels ----------------------------------------------------------------
@@ -61,8 +51,9 @@ DENSE_BIT_BUDGET = 2**28
 def _counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
     """(triangles, meeting counts, W) from the kernel for g's size; W needs
     cubes = sum d^3 and is None without it, as are unwanted meeting counts."""
-    kernel = _bitset_counts if g.n * g.n <= DENSE_BIT_BUDGET else _csr_counts
-    return kernel(g, want_meeting, cubes)
+    if g.n * g.n <= DENSE_BIT_BUDGET:
+        return _bitset_counts(g.neighbor_masks(), want_meeting, cubes)
+    return _csr_counts(g, want_meeting, cubes)
 
 
 def _degree_cube_sum(g: Graph) -> int:
@@ -70,9 +61,10 @@ def _degree_cube_sum(g: Graph) -> int:
     return sum(k**3 * c for k, c in enumerate(np.bincount(np.diff(g._indptr)).tolist()))
 
 
-def _bitset_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
+def _bitset_counts(rows: list[int], want_meeting: bool = True, cubes: int | None = None):
     """(triangles, meeting counts, W) by word-parallel operations on the
-    neighborhood bitsets; each triangle u < v < w is met once, at edge uv.
+    neighborhood bitsets ``rows`` (bit u of rows[v] is edge uv); each
+    triangle u < v < w is met once, at edge uv.
 
     Each triangle adds one to the meeting count of every vertex in the union
     of its three closed neighborhoods, all at once: the counts are kept as
@@ -81,13 +73,13 @@ def _bitset_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None
     sum_x d(x) t(x) is the sum over triangles of their degree sums, s(uv) the
     common neighbors of u and v, and each K4 is met from its four triangles.
     """
-    n, deg = g.n, g.degrees
-    rows = g.neighbor_masks()
+    n = len(rows)
     closed = [r | (1 << v) for v, r in enumerate(rows)]
     # The meeting counts in binary: bit x of planes[i] is bit i of the count
     # of x.  Fewer than n^3 triangles fit in (n^3).bit_length() planes.
     planes = [0] * (n**3).bit_length()
     want_w = cubes is not None
+    deg = [r.bit_count() for r in rows] if want_w else None
     triangles = degree_sums = squares = k4_pairs = 0
     for u in range(n):
         ru = rows[u]
@@ -156,29 +148,9 @@ def count_cliques(g: Graph, t: int) -> int:
         return g.n
     if t == 2:
         return g.m
-    n = g.n
-    deg = g.degrees
-    order = sorted(range(n), key=lambda v: (deg[v], v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # up[i] = neighbors of order[i] appearing later in the order, as a bitmask
-    up = [0] * n
-    for u, v in g.edges():
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        up[a] |= 1 << b
-
-    def rec(mask: int, k: int) -> int:
-        if k == 1:
-            return mask.bit_count()
-        total = 0
-        for i in _iter_bits(mask):
-            total += rec(mask & up[i], k - 1)
-        return total
-
-    return sum(rec(up[i], t - 1) for i in range(n))
+    fwd, keys = _forward_csr(g), _edge_keys(g)
+    return sum(_extended_cliques(fwd, keys, [h, v, w], t - 3)
+               for h, v, w, _ in _fast.forward_triangle_chunks(*fwd, keys))
 
 
 # -- neighborhood meeting counts ------------------------------------------
@@ -232,6 +204,33 @@ def _edge_positions(keys: np.ndarray, n: int, x: np.ndarray, y: np.ndarray):
     return pos, keys[pos] == q
 
 
+def _extended_cliques(fwd, keys: np.ndarray, clique: list[np.ndarray], more: int) -> int:
+    """Cliques that add ``more`` vertices to the cliques in the columns of
+    ``clique``, where clique[0] = h is the lowest-ranked member and the others
+    lie in h's forward row in increasing id order.
+
+    Each level adds the forward neighbors y of h above the last member by id
+    that are adjacent to every member but h, so each clique is found once,
+    from its lowest-ranked vertex.  Rows are taken in pieces whose gathered
+    forward rows stay within the wedge budget.
+    """
+    if more == 0:
+        return clique[0].size
+    fwd_ptr, fwd_idx = fwd
+    n, total = fwd_ptr.size - 1, 0
+    step = max(1, _fast.WEDGE_BUDGET // max(int(np.diff(fwd_ptr).max(initial=0)), 1))
+    for s in range(0, clique[0].size, step):
+        piece = [c[s:s + step] for c in clique]
+        owner, y = _gather_neighbors(fwd_ptr, fwd_idx, piece[0])
+        above = y > piece[-1][owner]
+        owner, y = owner[above], y[above]
+        for c in piece[1:]:
+            _, adjacent = _edge_positions(keys, n, c[owner], y)
+            owner, y = owner[adjacent], y[adjacent]
+        total += _extended_cliques(fwd, keys, [c[owner] for c in piece] + [y], more - 1)
+    return total
+
+
 def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
     """(triangles, meeting counts, W) of a large graph from one forward
     triangle listing of its CSR.
@@ -239,26 +238,24 @@ def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
     Each triangle marks the union of its three closed rows.  W sums
     count_w's per-center inclusion-exclusion over all centers:
     sum d^3 - 6 sum_x d(x) t(x) + 6 sum_e s(e)^2 - 24 K4, where t(x) counts
-    the triangles at x, s(e) those on the edge e, and K4 the 4-cliques.  W
-    never uses the meeting counts, so full_report's identity stays a check.
+    the triangles at x, s(e) those on the edge e, and K4 the 4-cliques, one
+    extension level of the listing.  W never uses the meeting counts, so
+    full_report's identity stays a check.
     """
     n, indptr, indices = g.n, g._indptr, g._indices
-    fwd_ptr, fwd_idx = _forward_csr(g)
-    keys = _edge_keys(g)
+    fwd, keys = _forward_csr(g), _edge_keys(g)
     if not want_meeting and cubes is None:
-        return _fast.forward_triangles(fwd_ptr, fwd_idx, keys), None, None
+        return _fast.forward_triangles(*fwd, keys), None, None
     want_w = cubes is not None
     marks = np.zeros(n, np.int64)
     at_vertex = np.zeros(n, np.int64)  # t(x)
     on_edge = np.zeros(keys.size, np.int64)  # s(e), indexed like keys
-    triangles = 0
-    k4_pairs = 0  # (triangle, vertex adjacent to all three) pairs: four per K4
+    triangles = k4 = 0
     # Triangles per piece: gathering their rows stays within the wedge budget.
     step = max(1, _fast.WEDGE_BUDGET // (3 * max(g.degrees, default=0) + 3))
-    for chunk in _fast.forward_triangle_chunks(fwd_ptr, fwd_idx, keys):
+    for chunk in _fast.forward_triangle_chunks(*fwd, keys):
         triangles += chunk[0].size
         for s in range(0, chunk[0].size, step):
-            # a is lowest-ranked, so N(a) is the shortest row to scan for K4s
             a, b, c, bc = (arr[s:s + step] for arr in chunk)
             tri = np.concatenate([a, b, c])
             if want_meeting:
@@ -271,14 +268,11 @@ def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
                 ab, _ = _edge_positions(keys, n, a, b)
                 ac, _ = _edge_positions(keys, n, a, c)
                 on_edge += np.bincount(np.concatenate([ab, ac, bc]), minlength=keys.size)
-                owner, x = _gather_neighbors(indptr, indices, a)
-                _, xb = _edge_positions(keys, n, x, b[owner])
-                _, xc = _edge_positions(keys, n, x, c[owner])
-                k4_pairs += int(np.count_nonzero(xb & xc))
+                k4 += _extended_cliques(fwd, keys, [a, b, c], 1)
     w = None
     if want_w:
         w = (cubes - 6 * int(np.diff(indptr) @ at_vertex)
-             + 6 * int(on_edge @ on_edge) - 6 * k4_pairs)
+             + 6 * int(on_edge @ on_edge) - 24 * k4)
     return triangles, marks.tolist() if want_meeting else None, w
 
 

@@ -57,18 +57,7 @@ class EnumerationReport:
     matches_prediction: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "t": self.t,
-            "bound": self.bound,
-            "graphs_enumerated": self.graphs_enumerated,
-            "max_cliques_found": self.max_cliques_found,
-            "violation_found": self.violation_found,
-            "extremal_graphs": list(self.extremal_graphs),
-            "uniqueness_verdict": self.uniqueness_verdict,
-            "matches_prediction": self.matches_prediction,
-        }
+        return {**vars(self), "extremal_graphs": list(self.extremal_graphs)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

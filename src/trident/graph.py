@@ -107,12 +107,15 @@ def build_graph(n: int, edges) -> Graph:
     """Build a Graph from an edge list; duplicate pairs are idempotent.
 
     ``edges`` may be any iterable of (u, v) pairs or an (m, 2) integer
-    array.  Raises InvalidVertex for out-of-range endpoints and
-    SelfLoopRejected for pairs (v, v).
+    array.  Raises InvalidArgument for an n whose int64 keys would overflow,
+    InvalidVertex for out-of-range endpoints and SelfLoopRejected for pairs
+    (v, v).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidArgument(f"vertex count must be a nonnegative integer, got {n!r}")
     n = int(n)
+    if n * n >= 2**63:  # the int64 keys head*n + tail reach n*n
+        raise InvalidArgument(f"vertex count {n} is too large: n*n must stay below 2**63")
     if isinstance(edges, np.ndarray):
         arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
     else:

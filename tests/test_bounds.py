@@ -139,6 +139,25 @@ class TestComplementIdentity:
             lhs, rhs = complement_identity_check(g)
             assert lhs == rhs
 
+    def test_complement_graph_not_built(self, monkeypatch):
+        # The complement is counted over complemented n-bit rows.
+        from trident import graph
+
+        def refuse(g):
+            raise AssertionError("complement_identity_check built the complement graph")
+
+        monkeypatch.setattr(graph, "complement", refuse)
+        rng = random.Random(23)
+        for n in (1, 5, 17, 40):
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.3])
+            lhs, rhs = complement_identity_check(g)
+            assert lhs == rhs
+
+    def test_too_large_rejected(self):
+        with pytest.raises(InvalidArgument):
+            complement_identity_check(build_graph(2**12 + 1, []))
+
     def test_odd_degree_sum_raises(self):
         # The parity of sum d(v)(n-1-d(v)) is a hard check, not an assert.
         g = build_graph(3, [(0, 1)])

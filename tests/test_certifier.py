@@ -295,6 +295,17 @@ class TestStrictSchema:
         with pytest.raises(FormatError):
             PeelCertificate.from_dict(data)
 
+    @pytest.mark.parametrize("value", [8.0, True, "8"])
+    def test_built_with_wrong_type(self, value):
+        # A certificate that from_dict would refuse cannot be built either.
+        cert = peel(build_extremal(9, 3), 3)
+        with pytest.raises(FormatError, match="total_triangles"):
+            dataclasses.replace(cert, total_triangles=value)
+        with pytest.raises(FormatError, match="triangles_removed"):
+            dataclasses.replace(cert.steps[0], triangles_removed=value)
+        with pytest.raises(FormatError, match="steps"):
+            dataclasses.replace(cert, steps=[s.to_dict() for s in cert.steps])
+
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PeelStep)])
     @pytest.mark.parametrize("value", [True, 1.0, "1", None])
     def test_wrong_step_type(self, data, key, value):

@@ -123,6 +123,14 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert run(["count", str(p)]) == 2
 
 
+def test_vertex_count_past_int64_keys_exits_2(tmp_path, capsys):
+    p = tmp_path / "huge.el"
+    p.write_text("99999999999999 0\n")
+    assert run(["count", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     assert run(["frobnicate"]) == 2
 

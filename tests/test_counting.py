@@ -92,6 +92,31 @@ class TestCliques:
         with pytest.raises(InvalidCliqueSize):
             count_cliques(complete_graph(3), 0)
 
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_clique_rich_vs_oracle(self, monkeypatch, budget):
+        # A budget of 3 wedges takes rows of length 4 or more one vertex at a
+        # time and extends the triangles one row per piece.
+        from trident import _fast, build_extremal
+
+        if budget is not None:
+            monkeypatch.setattr(_fast, "WEDGE_BUDGET", budget)
+        graphs = [complete_graph(k) for k in range(5, 8)] + [build_extremal(14, 5)]
+        rng = random.Random(19)
+        graphs += [random_graph(rng, rng.randrange(6, 12), 0.85) for _ in range(8)]
+        for g in graphs:
+            for t in range(3, 7):
+                assert count_cliques(g, t) == brute_cliques(g, t)
+
+    def test_no_neighbor_masks(self, monkeypatch):
+        from trident.graph import Graph
+
+        def refuse(self):
+            raise AssertionError("count_cliques built n-bit neighbor masks")
+
+        monkeypatch.setattr(Graph, "neighbor_masks", refuse)
+        g = build_graph(12, list(combinations(range(7), 2)))  # K7 + 5 isolated
+        assert [count_cliques(g, t) for t in range(3, 8)] == [35, 35, 21, 7, 1]
+
 
 class TestMeeting:
     def test_k3(self):

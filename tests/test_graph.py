@@ -58,6 +58,12 @@ class TestBuild:
         with pytest.raises(SelfLoopRejected):
             build_graph(3, [(1, 1)])
 
+    @pytest.mark.parametrize("n", [3037000500, 99999999999999])
+    def test_vertex_count_past_int64_keys_rejected(self, n):
+        # 3037000500 is the least n with n*n >= 2**63; no array is allocated.
+        with pytest.raises(InvalidArgument):
+            build_graph(n, [])
+
     def test_symmetry_and_degree_cache(self, kernel):
         rng = random.Random(7)
         g = build_graph(9, random_edges(rng, 9))
