@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (tampered certificate,
 violated bound, complement identity mismatch), 2 usage or input-format
-error, or an internal IdentityViolation.
+error, an unreadable file, a graph too large for memory, or an internal
+IdentityViolation; each error is one "error:" line.
 Machine output goes to stdout (JSON with --json), errors to stderr.
 """
 
@@ -78,11 +79,8 @@ def run(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except TridentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (TridentError, OSError, MemoryError) as e:  # bad input, unreadable or too large
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

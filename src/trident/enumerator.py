@@ -24,7 +24,7 @@ from .errors import (
     InvalidArgument,
     TooLargeForCanonicalization,
 )
-from .formats import g6_pack_bits
+from .formats import g6_encode
 from .graph import Graph, _iter_bits, build_graph
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
@@ -132,8 +132,6 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n > CANONICAL_LIMIT:
         raise TooLargeForCanonicalization(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
-    if n == 0:
-        return g6_pack_bits(0, lambda i, j: 0).encode("ascii")
     nbrs = [g.neighbors(v) for v in range(n)]
     colors = _refine_colors(n, nbrs)
     classes: dict[int, list[int]] = {}
@@ -153,7 +151,7 @@ def canonical_form(g: Graph) -> bytes:
                 bits = (bits << 1) | ((rows[order[i]] >> oj) & 1)
         if best is None or bits < best:
             best = bits
-    return g6_pack_bits(n, lambda i, j, b=best: (b >> (nbits - 1 - (j * (j - 1) // 2 + i))) & 1).encode("ascii")
+    return g6_encode(n, [nbits - 1 - b for b in _iter_bits(best)])  # the first pair is the top bit
 
 
 # -- exhaustive search -----------------------------------------------------
@@ -249,13 +247,10 @@ def _predicted_forms(n: int, d: int, q: int, r: int) -> list[bytes]:
     """Canonical forms of qK_{d+1} joined with every graph H on r vertices (r <= 2),
     or just K_r when r >= 3."""
     base = build_extremal(n, d)
-    if r <= 1:
-        return [canonical_form(base)]
-    if r == 2:
-        with_edge = canonical_form(base)
-        without = canonical_form(build_graph(n, base.edge_list()[:-1]))
-        return sorted({with_edge, without})
-    return [canonical_form(base)]
+    forms = {canonical_form(base)}
+    if r == 2:  # the K_2 may also be two isolated vertices
+        forms.add(canonical_form(build_graph(n, base.edge_list()[:-1])))
+    return sorted(forms)
 
 
 def enumerate_and_verify(

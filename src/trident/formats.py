@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError
 from .graph import Graph, build_graph
 
@@ -85,26 +87,20 @@ def _g6_decode_n(data: bytes) -> tuple[int, bytes]:
     return n, rest
 
 
-def g6_pack_bits(n: int, bit_at) -> str:
-    """Pack upper-triangle bits (column-major) given bit_at(i, j) for i < j."""
-    out = bytearray(_g6_encode_n(n))
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | bit_at(i, j)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+def g6_encode(n: int, positions) -> bytes:
+    """graph6 of the n-vertex graph whose upper-triangle bits are set at
+    ``positions``: the pair i < j is bit j(j-1)/2 + i, six bits to a byte."""
+    head = _g6_encode_n(n)
+    k = np.asarray(positions, np.int64)
+    body = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
+    np.bitwise_or.at(body, k // 6, (32 >> k % 6).astype(np.uint8))
+    body += 63
+    return head + body.tobytes()
 
 
 def write_graph6(g: Graph) -> str:
-    masks = g.neighbor_masks()
-    return g6_pack_bits(g.n, lambda i, j: (masks[i] >> j) & 1)
+    i, j = g.edge_array().T
+    return g6_encode(g.n, j * (j - 1) // 2 + i).decode("ascii")
 
 
 def read_graph6(line: str) -> Graph:
@@ -117,21 +113,21 @@ def read_graph6(line: str) -> Graph:
         data = line.encode("ascii")
     except UnicodeEncodeError:
         raise FormatError("non-ASCII character in graph6 string") from None
-    if any(b < 63 or b > 126 for b in data):
+    if data.translate(None, bytes(range(63, 127))):  # any byte left is invalid
         raise FormatError("invalid graph6 character")
     n, rest = _g6_decode_n(data)
     need = n * (n - 1) // 2
     if len(rest) != (need + 5) // 6:
         raise FormatError(f"graph6 body length {len(rest)} wrong for n={n}")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = rest[k // 6] - 63
-            if (byte >> (5 - k % 6)) & 1:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+    # Only the bytes that are not 63 hold edge bits; the padding bits are dropped.
+    body = np.frombuffer(rest, np.uint8) - 63
+    at = np.flatnonzero(body)
+    byte, bit = np.nonzero(np.unpackbits(body[at, None], axis=1)[:, 2:])
+    k = at[byte] * 6 + bit
+    k = k[k < need]
+    cols = np.arange(n, dtype=np.int64)
+    j = np.searchsorted(cols * (cols - 1) // 2, k, side="right") - 1
+    return build_graph(n, np.stack([k - j * (j - 1) // 2, j], axis=1))
 
 
 # -- canonical text + hashing --------------------------------------------

@@ -108,19 +108,22 @@ def build_graph(n: int, edges) -> Graph:
 
     ``edges`` may be any iterable of (u, v) pairs or an (m, 2) integer
     array.  Raises InvalidArgument for an n whose int64 keys would overflow,
-    InvalidVertex for out-of-range endpoints and SelfLoopRejected for pairs
-    (v, v).
+    InvalidVertex for out-of-range endpoints (int64 or not) and
+    SelfLoopRejected for pairs (v, v).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InvalidArgument(f"vertex count must be a nonnegative integer, got {n!r}")
     n = int(n)
     if n * n >= 2**63:  # the int64 keys head*n + tail reach n*n
         raise InvalidArgument(f"vertex count {n} is too large: n*n must stay below 2**63")
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
-    else:
-        pairs = list(edges)
-        arr = np.array(pairs, np.int64).reshape(-1, 2) if pairs else np.empty((0, 2), np.int64)
+    try:
+        if isinstance(edges, np.ndarray):
+            arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
+        else:
+            pairs = list(edges)
+            arr = np.array(pairs, np.int64).reshape(-1, 2) if pairs else np.empty((0, 2), np.int64)
+    except OverflowError:
+        raise InvalidVertex(f"an edge endpoint is outside int64, so not in [0, {n})") from None
     if arr.size:
         if arr.min() < 0 or arr.max() >= n:
             bad = arr[(arr[:, 0] < 0) | (arr[:, 0] >= n) | (arr[:, 1] < 0) | (arr[:, 1] >= n)][0]

@@ -131,6 +131,27 @@ def test_vertex_count_past_int64_keys_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_endpoint_outside_int64_exits_2(tmp_path, capsys):
+    p = tmp_path / "big.el"
+    p.write_text("2 1\n0 99999999999999999999\n")
+    assert run(["count", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.92 GiB", ""])
+def test_memory_error_exits_2(monkeypatch, capsys, message):
+    from trident import cli
+
+    def load_graph(path, fmt=None):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "load_graph", load_graph)
+    assert run(["count", "huge.el"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message or 'MemoryError'}\n"
+
+
 def test_usage_error_exits_2():
     assert run(["frobnicate"]) == 2
 

@@ -66,6 +66,37 @@ class TestGraph6:
             back = nx.from_graph6_bytes(write_graph6(g).encode())
             assert sorted(map(tuple, map(sorted, back.edges()))) == g.edge_list()
 
+    def test_matches_networkx_long_header(self):
+        # 63 <= n <= 300 takes the four-byte vertex count.
+        rng = random.Random(4)
+        for _ in range(12):
+            g = random_graph(rng, rng.randrange(63, 301), rng.choice([0.0, 0.02, 0.3, 1.0]))
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edge_list())
+            assert write_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert read_graph6(write_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 70])
+    def test_padding_bits_ignored(self, n):
+        g = build_graph(n, [(0, 1)])
+        text = write_graph6(g)
+        assert (n * (n - 1) // 2) % 6  # the last byte has padding bits
+        pad = 63 >> (n * (n - 1) // 2) % 6
+        padded = text[:-1] + chr(((ord(text[-1]) - 63) | pad) + 63)
+        assert padded != text
+        assert read_graph6(padded) == g
+
+    def test_no_neighbor_masks(self, monkeypatch):
+        from trident.graph import Graph
+
+        def refuse(self):
+            raise AssertionError("graph6 built n-bit neighbor masks")
+
+        monkeypatch.setattr(Graph, "neighbor_masks", refuse)
+        g = build_graph(200, [(0, 199), (5, 6), (100, 150)])
+        assert read_graph6(write_graph6(g)) == g
+
     def test_header_accepted(self):
         g = complete_graph(4)
         assert read_graph6(">>graph6<<" + write_graph6(g)) == g

@@ -64,6 +64,16 @@ class TestBuild:
         with pytest.raises(InvalidArgument):
             build_graph(n, [])
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 99999999999999999999)],
+        [(-2**70, 1)],
+        np.array([[0, 10**20]], dtype=object),
+        np.array([[0, 2**63]], dtype=np.uint64),
+    ])
+    def test_endpoint_outside_int64_rejected(self, edges):
+        with pytest.raises(InvalidVertex):
+            build_graph(3, edges)
+
     def test_symmetry_and_degree_cache(self, kernel):
         rng = random.Random(7)
         g = build_graph(9, random_edges(rng, 9))
