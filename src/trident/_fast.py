@@ -1,8 +1,7 @@
 """Array kernels for the large-graph paths.
 
 ``forward_triangle_chunks`` lists the triangles of a forward-oriented CSR
-with numpy, and ``forward_triangles`` counts them.  ``accept_proposals`` is
-the proposal-acceptance loop of ``random_bounded_graph``.
+with numpy, and ``forward_triangles`` counts them.
 """
 
 from __future__ import annotations
@@ -74,18 +73,3 @@ def forward_triangles(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray)
     sorted undirected edge keys of the same graph."""
     return sum(h.size for h, _, _, _ in forward_triangle_chunks(indptr, indices, keys))
 
-
-def accept_proposals(pairs, deg, cap, out, m0) -> int:
-    """Sequentially accept edge proposals while both endpoints are unsaturated."""
-    m = m0
-    for k in range(pairs.shape[0]):
-        u, v = int(pairs[k, 0]), int(pairs[k, 1])
-        if u == v:
-            continue
-        if deg[u] < cap and deg[v] < cap:
-            deg[u] += 1
-            deg[v] += 1
-            out[m, 0] = u
-            out[m, 1] = v
-            m += 1
-    return m

@@ -16,7 +16,7 @@ import sys
 from .bounds import complement_identity_check, gls_bound
 from .certify import PeelCertificate, peel, verify_certificate
 from .counting import count_triangles, full_report
-from .enumerator import enumerate_and_verify, exhaustive_limit
+from .enumerator import enumerate_and_verify
 from .errors import TridentError
 from .formats import load_graph
 
@@ -143,8 +143,7 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "enumerate":
-        rep = enumerate_and_verify(args.n, args.d, args.t, jobs=args.jobs,
-                                   limit=exhaustive_limit())
+        rep = enumerate_and_verify(args.n, args.d, args.t, jobs=args.jobs)
         if args.output:
             with open(args.output, "w") as f:
                 f.write(rep.to_json() + "\n")

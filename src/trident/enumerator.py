@@ -17,7 +17,6 @@ from itertools import permutations, product
 
 import numpy as np
 
-from . import _fast
 from .bounds import gls_bound
 from .errors import (
     ExhaustiveLimitExceeded,
@@ -84,26 +83,39 @@ def build_extremal(n: int, d: int) -> Graph:
 def random_bounded_graph(n: int, d: int, seed: int) -> Graph:
     """Seeded random graph with maximum degree at most d.
 
-    Uniform edge proposals are accepted while both endpoints are below the
-    cap; the proposal budget is 4*n*d, after which generation halts.
-    Deterministic for a fixed (n, d, seed).
+    Uniform edge proposals are accepted in order while both endpoints are
+    below the cap; the proposal budget is 4*n*d, after which generation
+    halts.  Deterministic for a fixed (n, d, seed).
     """
     if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
         raise InvalidArgument(f"need positive integers n, d; got ({n!r}, {d!r})")
     if n == 1:
         return build_graph(1, [])
-    budget = 4 * n * d
     rng = np.random.RandomState(seed)
-    deg = np.zeros(n, np.int64)
+    deg = [0] * n
+    full = np.zeros(n, bool)  # deg[v] == d as of the chunk's start
     out = np.empty((n * d // 2 + 1, 2), np.int64)
     m = 0
-    remaining = budget
-    chunk = 1 << 20
+    remaining = 4 * n * d
     while remaining > 0:
-        take = min(chunk, remaining)
-        pairs = rng.randint(0, n, size=(take, 2)).astype(np.int64)
-        m = _fast.accept_proposals(pairs, deg, d, out, m)
+        take = min(1 << 14, remaining)  # the draws do not depend on the split
+        pairs = rng.randint(0, n, size=(take, 2))
         remaining -= take
+        # Degrees only grow, so loops and pairs with a full endpoint are
+        # refused whatever comes before them.
+        u, v = pairs.T
+        live = pairs[(u != v) & ~full[u] & ~full[v]]
+        kept = []
+        for k, (a, b) in enumerate(live.tolist()):
+            if deg[a] < d and deg[b] < d:
+                deg[a] += 1
+                deg[b] += 1
+                kept.append(k)
+        accepted = live[kept]
+        out[m:m + len(kept)] = accepted
+        m += len(kept)
+        ends = accepted.ravel()
+        full[ends] = [deg[x] == d for x in ends.tolist()]
     return build_graph(n, out[:m])
 
 
@@ -286,7 +298,7 @@ def enumerate_and_verify(
         tasks = [(n, d, t, bits, depth, None, cap) for bits in range(1 << depth)]
         graphs, best, masks = 0, -1, []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sg, sb, sm in pool.map(_subtree_worker, tasks, chunksize=8):
+            for sg, sb, sm in pool.map(_subtree_worker, tasks):
                 graphs += sg
                 if sb > best:
                     best, masks = sb, list(sm)

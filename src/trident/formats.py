@@ -130,18 +130,12 @@ def read_graph6(line: str) -> Graph:
     return build_graph(n, np.stack([k - j * (j - 1) // 2, j], axis=1))
 
 
-# -- canonical text + hashing --------------------------------------------
-
-
-def canonical_edge_text(g: Graph) -> str:
-    """Canonical serialization used for certificate hashing: sorted edge list."""
-    return write_edge_list(g)
+# -- hashing --------------------------------------------------------------
 
 
 def graph_hash(g: Graph, algorithm: str = "sha256") -> str:
-    h = hashlib.new(algorithm)
-    h.update(canonical_edge_text(g).encode("ascii"))
-    return h.hexdigest()
+    """Digest of the sorted edge list, the canonical text certificates hash."""
+    return hashlib.new(algorithm, write_edge_list(g).encode("ascii")).hexdigest()
 
 
 # -- file loading ---------------------------------------------------------

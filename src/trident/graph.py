@@ -108,7 +108,7 @@ def build_graph(n: int, edges) -> Graph:
 
     ``edges`` may be any iterable of (u, v) pairs or an (m, 2) integer
     array.  Raises InvalidArgument for an n whose int64 keys would overflow,
-    InvalidVertex for out-of-range endpoints (int64 or not) and
+    InvalidVertex for endpoints that are not integers in [0, n) and
     SelfLoopRejected for pairs (v, v).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -116,18 +116,20 @@ def build_graph(n: int, edges) -> Graph:
     n = int(n)
     if n * n >= 2**63:  # the int64 keys head*n + tail reach n*n
         raise InvalidArgument(f"vertex count {n} is too large: n*n must stay below 2**63")
-    try:
-        if isinstance(edges, np.ndarray):
-            arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
-        else:
-            pairs = list(edges)
-            arr = np.array(pairs, np.int64).reshape(-1, 2) if pairs else np.empty((0, 2), np.int64)
-    except OverflowError:
-        raise InvalidVertex(f"an edge endpoint is outside int64, so not in [0, {n})") from None
+    rows = None if isinstance(edges, np.ndarray) else list(edges)
+    arr = (edges if rows is None else np.array(rows)).reshape(-1, 2)
+    if arr.size and arr.dtype.kind not in "iu":
+        # Floats, strings and bools are refused.  Python ints past int64 come
+        # as floats or objects, so the message takes them from the input.
+        for u, v in arr.tolist() if rows is None else rows:
+            if not all(type(x) is int and 0 <= x < n for x in (u, v)):
+                raise InvalidVertex(f"edge ({u!r}, {v!r}) endpoint is not an integer in [0, {n})")
+    # Compared in the input's dtype, so a uint64 endpoint cannot wrap.
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = arr[(arr[:, 0] < 0) | (arr[:, 0] >= n) | (arr[:, 1] < 0) | (arr[:, 1] >= n)][0]
+        raise InvalidVertex(f"edge ({bad[0]}, {bad[1]}) endpoint not in [0, {n})")
+    arr = arr.astype(np.int64, copy=False)
     if arr.size:
-        if arr.min() < 0 or arr.max() >= n:
-            bad = arr[(arr[:, 0] < 0) | (arr[:, 0] >= n) | (arr[:, 1] < 0) | (arr[:, 1] >= n)][0]
-            raise InvalidVertex(f"edge ({bad[0]}, {bad[1]}) endpoint not in [0, {n})")
         loops = arr[:, 0] == arr[:, 1]
         if loops.any():
             v = int(arr[loops][0, 0])

@@ -387,26 +387,22 @@ class TestKernelParity:
                 assert np.array_equal(keys[pos], np.minimum(v, w) * g.n + np.maximum(v, w))
 
     def test_proposal_kernels_agree(self):
-        import numpy as np
-        from trident import _fast
+        from trident import random_bounded_graph
 
-        def reference(pairs, cap, n):
-            # accept (u, v) in order while both ends have degree below cap
+        def reference(n, d, seed):
+            # all 4*n*d proposals in one draw, each (u, v) accepted in order
+            # while both ends have degree below d
+            pairs = np.random.RandomState(seed).randint(0, n, size=(4 * n * d, 2))
             deg, out = [0] * n, []
             for u, v in pairs.tolist():
-                if u != v and deg[u] < cap and deg[v] < cap:
+                if u != v and deg[u] < d and deg[v] < d:
                     deg[u] += 1
                     deg[v] += 1
-                    out.append([u, v])
-            return deg, out
+                    out.append((u, v))
+            return build_graph(n, out)
 
-        rng = np.random.RandomState(0)
-        for n, cap, m0 in [(30, 3, 0), (12, 5, 0), (30, 3, 7)]:
-            pairs = rng.randint(0, n, size=(500, 2)).astype(np.int64)
-            deg, out = np.zeros(n, np.int64), np.full((300, 2), -1, np.int64)
-            m = _fast.accept_proposals(pairs, deg, cap, out, m0)
-            ref_deg, ref_out = reference(pairs, cap, n)
-            assert m == m0 + len(ref_out)
-            assert out[m0:m].tolist() == ref_out
-            assert (out[:m0] == -1).all() and (out[m:] == -1).all()
-            assert deg.tolist() == ref_deg
+        # 4*n*d passes 2**16 in the last three cells, so they take several
+        # chunks of draws.
+        for n, d, seed in [(2, 1, 0), (3, 2, 1), (30, 3, 0), (12, 5, 4), (200, 1, 2),
+                           (1025, 16, 5), (3000, 8, 6), (5000, 4, 7)]:
+            assert random_bounded_graph(n, d, seed) == reference(n, d, seed), (n, d, seed)

@@ -1,4 +1,7 @@
+import hashlib
+import os
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -33,12 +36,25 @@ class TestBuildExtremal:
                 assert max_degree(g) <= d
 
 
+def csr_digest(g):
+    return hashlib.sha256(g._indptr.tobytes() + g._indices.tobytes()).hexdigest()
+
+
 class TestRandomBounded:
     def test_deterministic(self):
-        a = random_bounded_graph(10, 3, 5)
-        b = random_bounded_graph(10, 3, 5)
-        assert a == b
-        assert random_bounded_graph(10, 3, 6) != a or True  # different seed may differ
+        # The generator's graphs are pinned per seed; (16500, 16, 0) draws
+        # 4*n*d > 2**20 proposals, so it spans several chunks of draws.
+        pinned = {
+            (2, 1, 0): "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0",
+            (10, 3, 5): "08d85deabe53132321d1288957f6d103e026804d45f9e5bca9428ae655851e5f",
+            (10, 3, 6): "0e0d77deff013d2bf98493c57690436a202ebebbe0a09e24a5c929cd15d433d2",
+            (64, 16, 3): "bfea46ae57a8d82fddfe5f0b40b9114e9dddf62cb94901eb1d5e8f5c3bc05445",
+            (300, 7, 11): "91424c37b2063751166b2723be16385255a43e6257e5d074d2e93717689cefd3",
+            (16500, 16, 0): "ecd68429adb1b9791580d4030178eeb8d91587471a6210393590019d3facc224",
+        }
+        for cell, digest in pinned.items():
+            assert csr_digest(random_bounded_graph(*cell)) == digest, cell
+        assert random_bounded_graph(10, 3, 5) == random_bounded_graph(10, 3, 5)
 
     def test_degree_cap(self):
         rng = random.Random(1)
@@ -54,6 +70,7 @@ class TestRandomBounded:
 
     def test_large_sparse(self):
         g = random_bounded_graph(10**5, 16, 3)
+        assert csr_digest(g) == "0aaa5f70e252fbd1c67138e7325a267455075dcfa824501a8ce221fb872378c2"
         assert g.n * g.n > counting.DENSE_BIT_BUDGET  # counted by the numpy listing
         assert count_triangles(g) == count_cliques(g, 3)
         assert max_degree(g) <= 16
@@ -144,6 +161,23 @@ class TestEnumerate:
             exhaustive_limit()
         with pytest.raises(InvalidArgument):
             enumerate_and_verify(3, 2, 3)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_use_every_worker(self, monkeypatch, tmp_path, jobs):
+        # Forked workers inherit the patch; each appends its pid per subtree.
+        from trident import enumerator
+        serial = enumerate_and_verify(5, 3, 3)
+        search, log = enumerator._search_subtree, tmp_path / "pids"
+
+        def logged(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            time.sleep(0.1)  # every worker is up before the queue drains
+            return search(*args)
+
+        monkeypatch.setattr(enumerator, "_search_subtree", logged)
+        assert enumerate_and_verify(5, 3, 3, jobs=jobs) == serial
+        assert len(set(log.read_text().split())) == jobs
 
     def test_jobs_agree_with_serial(self):
         serial = enumerate_and_verify(6, 3, 3, jobs=1)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -71,7 +72,23 @@ class TestBuild:
         np.array([[0, 2**63]], dtype=np.uint64),
     ])
     def test_endpoint_outside_int64_rejected(self, edges):
-        with pytest.raises(InvalidVertex):
+        with pytest.raises(InvalidVertex) as err:
+            build_graph(3, edges)
+        (outside,) = [x for x in np.asarray(edges, object).ravel().tolist()
+                      if not -2**63 <= x < 2**63]
+        # the input's value, not one wrapped into int64
+        assert re.search(rf"(?<![-\d]){outside}(?!\d)", str(err.value))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.9)],
+        [(0, "2")],
+        [(True, False)],
+        np.array([[0, 1.5]]),
+        np.array([[0.0, 1.0]]),
+    ])
+    def test_non_integer_endpoint_rejected(self, edges):
+        # Nothing is truncated or parsed: (0, 1.9) is not the edge (0, 1).
+        with pytest.raises(InvalidVertex, match="not an integer"):
             build_graph(3, edges)
 
     def test_symmetry_and_degree_cache(self, kernel):
