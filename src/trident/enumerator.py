@@ -85,10 +85,13 @@ def random_bounded_graph(n: int, d: int, seed: int) -> Graph:
 
     Uniform edge proposals are accepted in order while both endpoints are
     below the cap; the proposal budget is 4*n*d, after which generation
-    halts.  Deterministic for a fixed (n, d, seed).
+    halts.  Deterministic for a fixed (n, d, seed); the seed is an integer
+    in [0, 2**32), numpy's ``RandomState`` range.
     """
     if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
         raise InvalidArgument(f"need positive integers n, d; got ({n!r}, {d!r})")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**32:
+        raise InvalidArgument(f"seed must be an integer in [0, 2**32), got {seed!r}")
     if n == 1:
         return build_graph(1, [])
     rng = np.random.RandomState(seed)

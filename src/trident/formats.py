@@ -1,7 +1,10 @@
 """Graph serialization: edge-list text, graph6, canonical text and hashing.
 
-Edge-list format: first non-comment line is "n m", followed by m lines
-"u v" with 0-based endpoints; lines starting with '#' are ignored.
+Edge-list format: ASCII text whose first non-comment line is "n m",
+followed by m lines "u v" with 0-based endpoints; blank lines and lines
+starting with '#' are ignored.  Lines and tokens are split as
+``str.splitlines`` and ``str.split`` split them, and tokens are read as
+``int()`` reads them.  Both directions work on the text as one uint8 array.
 
 graph6 follows the standard McKay encoding (upper triangle, column-major,
 6 bits per printable character); the only accepted header is the optional
@@ -21,36 +24,127 @@ from .graph import Graph, build_graph
 G6_HEADER = ">>graph6<<"
 
 
+def _edge_list_bytes(g: Graph) -> bytes:
+    """The edge-list text as ASCII bytes: "n m", then "u v" per sorted edge.
+
+    Each endpoint goes into a field of ``width`` uint8 cells and its
+    separator, one digit place at a time from the right; dropping the
+    leading zeros leaves the text of every line in row order."""
+    edges = g.edge_array()
+    width = len(str(int(edges.max()))) if edges.size else 1
+    cells = np.empty((len(edges), 2, width + 1), np.uint8)
+    keep = np.ones(cells.shape, bool)
+    cells[:, :, width] = [ord(" "), ord("\n")]
+    rest = edges
+    for place in range(width - 1, -1, -1):
+        rest, cells[:, :, place] = np.divmod(rest, 10)
+        if place:
+            keep[:, :, place - 1] = rest > 0  # else a leading zero
+    cells[:, :, :width] += ord("0")
+    return f"{g.n} {g.m}\n".encode("ascii") + cells[keep].tobytes()
+
+
 def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return _edge_list_bytes(g).decode("ascii")
+
+
+def _line_at(text: str, breaks: np.ndarray, pos: int) -> str:
+    """The stripped line of ``text`` that holds offset ``pos``."""
+    i = int(np.searchsorted(breaks, pos))
+    lo = int(breaks[i - 1]) + 1 if i else 0
+    hi = int(breaks[i]) if i < len(breaks) else len(text)
+    return text[lo:hi].strip()
+
+
+def _token_values(text: str, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``int()`` of each token ``text[starts[k]:ends[k]]``.
+
+    Returns (values, bad): int64 values, or a list when one leaves int64,
+    and the mask of the tokens ``int()`` refuses.  Plain tokens,
+    ``-?[0-9]{1,18}``, are read one digit place at a time from the end;
+    ``int()`` reads the rest (signs, underscores, long digit runs)."""
+    neg = data[starts] == ord("-")
+    digits = ends - starts - neg
+    values = np.zeros(len(starts), np.int64)
+    top = np.zeros(len(starts), np.uint8)  # the largest digit - '0', wrapped
+    at = ends.copy()
+    for place in range(min(int(digits.max(initial=0)), 18)):
+        at -= 1
+        d = data.take(at, mode="clip") - np.uint8(ord("0"))
+        d *= digits > place
+        np.maximum(top, d, out=top)
+        values += d.astype(np.int64) * 10**place
+    np.negative(values, out=values, where=neg)
+    bad = np.zeros(len(starts), bool)
+    big = {}
+    for k in np.flatnonzero((top > 9) | (digits < 1) | (digits > 18)).tolist():
+        try:
+            v = int(text[starts[k]:ends[k]])
+        except ValueError:
+            bad[k] = True
+            continue
+        if -2**63 <= v < 2**63:
+            values[k] = v
+        else:
+            big[k] = v
+    if big:
+        values = values.tolist()
+        for k, v in big.items():
+            values[k] = v
+    return values, bad
 
 
 def read_edge_list(text: str) -> Graph:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
-        raise FormatError("empty edge-list file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise FormatError(f"expected header 'n m', got {rows[0]!r}")
+    """Parse edge-list text: ASCII only, lines split and stripped as
+    ``str.splitlines`` and ``str.split`` do, blank and ``#`` lines skipped.
+
+    The text is read as one uint8 array: token bounds come from the
+    whitespace mask, each line's first token from the line breaks."""
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"non-integer header {rows[0]!r}") from None
-    if len(rows) - 1 != m:
-        raise FormatError(f"header declares {m} edges, file has {len(rows) - 1}")
-    edges = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FormatError(f"non-integer edge line {ln!r}") from None
-    return build_graph(n, edges)
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise FormatError(f"non-ASCII character at offset {e.start} of the edge list") from None
+    data = np.frombuffer(raw, np.uint8)
+    # ASCII whitespace is 9-13 and 28-32; line breaks are 10-13 and 28-30.
+    space = np.ones(len(data) + 2, bool)  # a separator on either side
+    np.less(data - np.uint8(9), 5, out=space[1:-1])
+    space[1:-1] |= data - np.uint8(28) < 5
+    bounds = np.flatnonzero(space[1:] != space[:-1])
+    del space
+    starts, ends = bounds[0::2], bounds[1::2]
+    breaks = np.flatnonzero((data - np.uint8(10) < 4) | (data - np.uint8(28) < 3))
+    first = np.zeros(len(starts) + 1, bool)
+    first[np.searchsorted(starts, breaks)] = True
+    first[0] = True
+    heads = np.flatnonzero(first[:-1])  # first token of each non-blank line
+    sizes = np.diff(heads, append=len(starts))
+    keep = data[starts[heads]] != ord("#")
+    heads, sizes = heads[keep], sizes[keep]
+    if not len(heads):
+        raise FormatError("empty edge-list file")
+    header = _line_at(text, breaks, starts[heads[0]])
+    if sizes[0] != 2:
+        raise FormatError(f"expected header 'n m', got {header!r}")
+    pair = slice(heads[0], heads[0] + 2)
+    values, bad = _token_values(text, data, starts[pair], ends[pair])
+    if bad.any():
+        raise FormatError(f"non-integer header {header!r}")
+    n, m = map(int, values)
+    if len(heads) - 1 != m:
+        raise FormatError(f"header declares {m} edges, file has {len(heads) - 1}")
+    heads, sizes = heads[1:], sizes[1:]
+    shape = np.flatnonzero(sizes != 2)
+    rows = heads[:shape[0]] if len(shape) else heads  # the two-token lines before any other
+    tokens = np.stack([rows, rows + 1], axis=1).ravel()
+    values, bad = _token_values(text, data, starts[tokens], ends[tokens])
+    if bad.any():
+        pos = starts[tokens[np.argmax(bad)]]
+        raise FormatError(f"non-integer edge line {_line_at(text, breaks, pos)!r}")
+    if len(shape):
+        raise FormatError(f"bad edge line {_line_at(text, breaks, starts[heads[shape[0]]])!r}")
+    if isinstance(values, list):  # an endpoint outside int64: build_graph names it
+        return build_graph(n, zip(values[0::2], values[1::2]))
+    return build_graph(n, values.reshape(-1, 2))
 
 
 # -- graph6 ---------------------------------------------------------------
@@ -135,7 +229,7 @@ def read_graph6(line: str) -> Graph:
 
 def graph_hash(g: Graph, algorithm: str = "sha256") -> str:
     """Digest of the sorted edge list, the canonical text certificates hash."""
-    return hashlib.new(algorithm, write_edge_list(g).encode("ascii")).hexdigest()
+    return hashlib.new(algorithm, _edge_list_bytes(g)).hexdigest()
 
 
 # -- file loading ---------------------------------------------------------
@@ -167,6 +261,6 @@ def save_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
     if fmt == "g6":
         path.write_text(write_graph6(g) + "\n")
     elif fmt == "el":
-        path.write_text(write_edge_list(g))
+        path.write_bytes(_edge_list_bytes(g))
     else:
         raise FormatError(f"unknown format {fmt!r}")

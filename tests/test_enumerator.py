@@ -4,6 +4,7 @@ import random
 import time
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from trident import (
@@ -55,6 +56,18 @@ class TestRandomBounded:
         for cell, digest in pinned.items():
             assert csr_digest(random_bounded_graph(*cell)) == digest, cell
         assert random_bounded_graph(10, 3, 5) == random_bounded_graph(10, 3, 5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**70, 1.0, 0.5, "1", None, True, False, np.bool_(True)])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_bad_seed_rejected(self, n, seed):
+        with pytest.raises(InvalidArgument, match=r"seed must be an integer in \[0, 2\*\*32\)"):
+            random_bounded_graph(n, 3, seed)
+
+    def test_seed_range_ends(self):
+        # numpy integers are seeds too, and give the same graph as the int.
+        assert random_bounded_graph(10, 3, 2**32 - 1) == random_bounded_graph(10, 3, np.uint32(2**32 - 1))
+        assert random_bounded_graph(10, 3, np.int64(5)) == random_bounded_graph(10, 3, 5)
+        assert random_bounded_graph(10, 3, 0).m > 0
 
     def test_degree_cap(self):
         rng = random.Random(1)

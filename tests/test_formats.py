@@ -1,19 +1,22 @@
+import hashlib
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trident import (
     build_graph,
     graph_hash,
     load_graph,
+    random_bounded_graph,
     read_edge_list,
     read_graph6,
     save_graph,
     write_edge_list,
     write_graph6,
 )
-from trident.errors import FormatError
+from trident.errors import FormatError, InvalidArgument, InvalidVertex, SelfLoopRejected, TridentError
 from conftest import complete_graph, petersen
 
 
@@ -40,6 +43,177 @@ class TestEdgeList:
     def test_wrong_edge_count(self):
         with pytest.raises(FormatError):
             read_edge_list("3 2\n0 1\n")
+
+
+# Edge-list texts and what the reader makes of them: (n, edges) or the exact
+# error.  Line breaks and whitespace are those of str.splitlines and
+# str.split, and tokens are whatever int() reads.
+PATH_3 = (3, [(0, 1), (1, 2)])
+EDGE_LIST_CORPUS = [
+    ("3 2\r\n0 1\r\n1 2\r\n", PATH_3),
+    ("3 2\r0 1\r1 2\r", PATH_3),
+    ("3\t2\n0\t1\n\t1 \t 2\t\n", PATH_3),
+    ("3 2\v0 1\f1 2\x1c", PATH_3),
+    ("4 2\x1d0 1\x1e2 3", (4, [(0, 1), (2, 3)])),
+    ("4 2\x1f\n0\x1f1\n2 3\n", (4, [(0, 1), (2, 3)])),
+    ("\n\n3 1\n\n \n\t\n0 2\n\n\x1f\n", (3, [(0, 2)])),
+    ("# c\n#\n3 2\n# between\n0 1\n   # indented\n#0 1\n1 2\n# end", PATH_3),
+    ("3 2\n0 1\n1 0\n", (3, [(0, 1)])),
+    ("0 0\n", (0, [])),
+    ("5 0 \n", (5, [])),
+    ("3 1\n0 1 # c\n", (FormatError, "bad edge line '0 1 # c'")),
+    ("3 1\n0 1#c\n", (FormatError, "non-integer edge line '0 1#c'")),
+    ("3 1 # c\n0 1\n", (FormatError, "expected header 'n m', got '3 1 # c'")),
+    ("1_1 1\n+0 1_0\n", (11, [(0, 10)])),
+    ("+3 1\n+2 -0\n", (3, [(0, 2)])),
+    ("3 1\n0 -1\n", (InvalidVertex, "edge (0, -1) endpoint not in [0, 3)")),
+    ("3 1\n0 0000000000000000000002\n", (3, [(0, 2)])),
+    ("3 1\n-0000000000000000000000 2\n", (3, [(0, 2)])),
+    ("3 1\n0 1000000000000000000\n", (InvalidVertex, "edge (0, 1000000000000000000) endpoint not in [0, 3)")),
+    ("3 1\n0 9223372036854775808\n",
+     (InvalidVertex, "edge (0, 9223372036854775808) endpoint is not an integer in [0, 3)")),
+    ("3 1\n0 -9223372036854775809\n",
+     (InvalidVertex, "edge (0, -9223372036854775809) endpoint is not an integer in [0, 3)")),
+    ("3 1\n0 123456789012345678901\n",
+     (InvalidVertex, "edge (0, 123456789012345678901) endpoint is not an integer in [0, 3)")),
+    ("3 2\n1 2\n0 -123456789012345678901\n",
+     (InvalidVertex, "edge (0, -123456789012345678901) endpoint is not an integer in [0, 3)")),
+    ("12345678901234567890123 0\n",
+     (InvalidArgument, "vertex count 12345678901234567890123 is too large: n*n must stay below 2**63")),
+    ("3 12345678901234567890123\n", (FormatError, "header declares 12345678901234567890123 edges, file has 0")),
+    ("", (FormatError, "empty edge-list file")),
+    ("\n \n", (FormatError, "empty edge-list file")),
+    ("# only a comment\n", (FormatError, "empty edge-list file")),
+    ("3\n", (FormatError, "expected header 'n m', got '3'")),
+    ("3 1 2\n0 1\n", (FormatError, "expected header 'n m', got '3 1 2'")),
+    ("3 x\n0 1\n", (FormatError, "non-integer header '3 x'")),
+    ("3 0x1\n0 1\n", (FormatError, "non-integer header '3 0x1'")),
+    ("3 1_\n0 1\n", (FormatError, "non-integer header '3 1_'")),
+    ("3 2\n0 1\n", (FormatError, "header declares 2 edges, file has 1")),
+    ("3 1\n0 1\n1 2\n", (FormatError, "header declares 1 edges, file has 2")),
+    ("3 -1\n", (FormatError, "header declares -1 edges, file has 0")),
+    ("-1 0\n", (InvalidArgument, "vertex count must be a nonnegative integer, got -1")),
+    ("3 1\n0\n", (FormatError, "bad edge line '0'")),
+    ("3 1\n  0  x  \n", (FormatError, "non-integer edge line '0  x'")),
+    ("3 1\n- 1\n", (FormatError, "non-integer edge line '- 1'")),
+    ("3 1\n--1 0\n", (FormatError, "non-integer edge line '--1 0'")),
+    ("3 1\n0 1__0\n", (FormatError, "non-integer edge line '0 1__0'")),
+    ("3 1\n0 _1\n", (FormatError, "non-integer edge line '0 _1'")),
+    ("3 2\n0 x\n0 1 2\n", (FormatError, "non-integer edge line '0 x'")),
+    ("3 2\n0 1 2\n0 x\n", (FormatError, "bad edge line '0 1 2'")),
+    ("3 1\n1 1\n", (SelfLoopRejected, "self-loop (1, 1) rejected")),
+    # int() refuses more than 4300 digits.
+    ("3 1\n0 " + "1" * 5000 + "\n", (FormatError, "non-integer edge line " + repr("0 " + "1" * 5000))),
+]
+
+
+def sparse_and_small_graphs():
+    """The sparse benchmark graphs of seeds 0-3, then a seeded 300-graph
+    suite with n <= 64 and d <= 16."""
+    graphs = [random_bounded_graph(16_500, 16, seed) for seed in range(4)]
+    rng = random.Random(0)
+    for _ in range(300):
+        n, d = rng.randrange(1, 65), rng.randrange(1, 17)
+        graphs.append(random_bounded_graph(n, d, rng.randrange(2**31)))
+    return graphs
+
+
+def reference_read_edge_list(text):
+    """The per-line reader that the numpy codec replaced, kept as its reference."""
+    rows = [ln.strip() for ln in text.splitlines()]
+    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    if not rows:
+        raise FormatError("empty edge-list file")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise FormatError(f"expected header 'n m', got {rows[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise FormatError(f"non-integer header {rows[0]!r}") from None
+    if len(rows) - 1 != m:
+        raise FormatError(f"header declares {m} edges, file has {len(rows) - 1}")
+    edges = []
+    for ln in rows[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad edge line {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise FormatError(f"non-integer edge line {ln!r}") from None
+    return build_graph(n, edges)
+
+
+def outcome(read, text):
+    try:
+        g = read(text)
+    except TridentError as e:
+        return type(e), str(e)
+    return g.n, g.edge_list()
+
+
+# ASCII edge lists with every line break and blank of str.splitlines and
+# str.split, tokens int() reads in other ways, and broken lines.  Every
+# header asks for a small graph or one build_graph refuses before allocating.
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+blanks = st.sampled_from([" ", "\t", "  ", "\x1f", " \t"])
+edge_tokens = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["+1", "-0", "00", "1_0", "_1", "1_", "1__0", "-", "+", "#", "#1", "0x1", "1e3"]),
+    st.text(st.characters(max_codepoint=127), max_size=3),
+)
+
+
+@st.composite
+def ascii_edge_lists(draw):
+    n = draw(st.one_of(st.integers(-2, 12), st.integers(2**32, 2**70)))
+    lines = draw(st.lists(st.lists(edge_tokens, max_size=3), max_size=8))
+    m = draw(st.sampled_from([len(lines), len(lines), len(lines) + 1]))
+    text = f"{n}{draw(blanks)}{m}"
+    for tokens in lines:
+        text += draw(line_breaks) + draw(st.sampled_from(["", " "])) + draw(blanks).join(tokens)
+    return text + draw(st.sampled_from(["", "\n", " \n"]))
+
+
+class TestEdgeListCodec:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ascii_edge_lists())
+    def test_matches_reference_reader(self, text):
+        assert outcome(read_edge_list, text) == outcome(reference_read_edge_list, text)
+
+
+    @pytest.mark.parametrize("text, expected", EDGE_LIST_CORPUS)
+    def test_corpus(self, text, expected):
+        if isinstance(expected[0], int):
+            assert read_edge_list(text) == build_graph(*expected)
+        else:
+            error, message = expected
+            with pytest.raises(error) as info:
+                read_edge_list(text)
+            assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["\u0663 0\n", "3 1\n0 1\u00a0\n", "3 1\n0 1\n# caf\u00e9\n", "3 0\u2028"])
+    def test_non_ascii_rejected(self, text):
+        with pytest.raises(FormatError, match="non-ASCII character at offset"):
+            read_edge_list(text)
+
+    def test_digest_and_round_trip(self):
+        # The SHA-256 of the text written before the numpy codec.
+        graphs = sparse_and_small_graphs()
+        texts = [write_edge_list(g) for g in graphs]
+        digest = hashlib.sha256("".join(texts).encode("ascii")).hexdigest()
+        assert digest == "afbccc4ac045a22fc951025af5aa6a1cc7a1ad4f9b3d66be18a082d20dccbb48"
+        for g, text in zip(graphs, texts):
+            assert read_edge_list(text) == g
+            assert graph_hash(g) == hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    def test_writer_formats_every_width(self):
+        g = build_graph(10**6, [(0, 9), (9, 10), (99, 100), (0, 999_999), (123_456, 654_321)])
+        assert write_edge_list(g) == "1000000 5\n0 9\n0 999999\n9 10\n99 100\n123456 654321\n"
+        assert write_edge_list(build_graph(1, [])) == "1 0\n"
+        assert write_edge_list(build_graph(0, [])) == "0 0\n"
 
 
 class TestGraph6:
