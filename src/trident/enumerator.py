@@ -13,7 +13,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .graph import Graph, _iter_bits, build_graph
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 EXHAUSTIVE_LIMIT_ENV = "TRIDENT_MAX_EXHAUSTIVE_N"
 CANONICAL_LIMIT = 10
+BLOCK = 4  # the search completes the slots among the last BLOCK vertices from one table
 
 
 def exhaustive_limit() -> int:
@@ -188,6 +189,43 @@ def _cliques_in_mask(adj: list[int], mask: int, k: int) -> int:
     return total
 
 
+def _block_table(n: int, b: int, t: int):
+    """How the search completes the slots among the last b vertices.
+
+    The block's sets Q with 2 <= |Q| <= t are numbered b, b + 1, ... in
+    order of size; each extends a smaller set (a single vertex numbered
+    0..b-1, or an earlier Q) by one vertex.  Returns (plan, table):
+    ``plan[i]`` is (number of the smaller set, the added vertex, t - |Q|)
+    for the Q numbered b + i.  ``table`` lists every subset S of the
+    block's C(b, 2) slots in the search's skip-before-take order, as
+    (degree increment per block vertex, S's slot bits, S's neighbor mask
+    per block vertex, numbers of the Q that S makes complete).
+    """
+    first = n - b
+    number = {(v,): v - first for v in range(first, n)}
+    plan = []
+    for size in range(2, min(b, t) + 1):
+        for q in combinations(range(first, n), size):
+            plan.append((number[q[:-1]], q[-1], t - size))
+            number[q] = len(number)
+    pairs = list(combinations(range(b), 2))
+    k = len(pairs)
+    base = n * (n - 1) // 2 - k
+    table = []
+    for s in range(1 << k):
+        nbrs = [0] * b
+        bits = 0
+        for p, (x, y) in enumerate(pairs):
+            if (s >> (k - 1 - p)) & 1:  # the block's first slot is decided first
+                nbrs[x] |= 1 << (first + y)
+                nbrs[y] |= 1 << (first + x)
+                bits |= 1 << (base + p)
+        complete = tuple(i for q, i in number.items() if len(q) >= 2
+                         and all((nbrs[x - first] >> y) & 1 for x, y in combinations(q, 2)))
+        table.append((tuple(nb.bit_count() for nb in nbrs), bits, tuple(nbrs), complete))
+    return plan, table
+
+
 def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
     """Enumerate all completions of a fixed prefix of edge-slot decisions.
 
@@ -195,9 +233,25 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
     prefix assigns the first ``prefix_len`` lexicographic slots; an
     infeasible prefix yields (0, -1, []).  ``cap`` limits how many tied
     extremal graphs are retained (used for degenerate bound-0 cells).
+
+    The slots among the last BLOCK vertices come last.  The search stops
+    before them and completes them from one table: a t-clique that gains
+    an edge there meets the block in a complete set Q with |Q| >= 2, and
+    its other t - |Q| vertices are a clique in the common lower
+    neighborhood of Q, which is fully decided.  So a completion depends
+    only on the block's residual degree caps and on those clique counts,
+    and is computed once per distinct pair.
     """
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ns = len(slots)
+    b = min(BLOCK, n)
+    while b * (b - 1) // 2 > ns - prefix_len:  # the prefix decides no block slot
+        b -= 1
+    stop = ns - b * (b - 1) // 2
+    block = range(n - b, n)
+    plan, table = _block_table(n, b, t)
+    # A block vertex gains at most b - 1 edges, so larger caps are equal.
+    residual = [min(d - k, b - 1) for k in range(d + 1)]
     adj = [0] * n
     deg = [0] * n
     cnt = 0
@@ -215,19 +269,59 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
         deg[j] += 1
         edge_mask |= 1 << idx
 
-    state = {"graphs": 0, "best": -1, "masks": []}
+    graphs, best, masks = 0, -1, []
+    memo = {}
     triangles_only = t == 3
 
-    def rec(idx, edge_mask, cnt):
-        if idx == ns:
-            state["graphs"] += 1
-            if cnt > state["best"]:
-                state["best"] = cnt
-                state["masks"] = [edge_mask]
-            elif cnt == state["best"] and (cap is None or len(state["masks"]) < cap):
-                state["masks"].append(edge_mask)
+    def complete(key, cnt):
+        """(feasible completions, best gain, slot bits of the best ones in order)."""
+        feasible, top, tops = 0, -1, []
+        for incs, bits, nbrs, qs in table:
+            if any(inc > c for inc, c in zip(incs, key)):
+                continue
+            feasible += 1
+            gain = sum(key[q] for q in qs)
+            if gain > top:
+                top, tops = gain, [bits]
+            elif gain == top:
+                tops.append(bits)
             if leaf_hook is not None:
-                leaf_hook(adj, cnt)
+                for v, nb in zip(block, nbrs):
+                    adj[v] |= nb
+                leaf_hook(adj, cnt + gain)
+                for v, nb in zip(block, nbrs):
+                    adj[v] ^= nb
+        return feasible, top, tops
+
+    def finish(edge_mask, cnt):
+        nonlocal graphs, best, masks
+        # key: the block's residual caps, then the count of (t - |Q|)-cliques
+        # in each Q's common neighborhood; block rows hold lower vertices only.
+        key = [residual[deg[v]] for v in block]
+        common = [adj[v] for v in block]
+        for i, v, k in plan:
+            m = common[i] & adj[v]
+            common.append(m)
+            key.append(1 if k == 0 else m.bit_count() if k == 1 else _cliques_in_mask(adj, m, k))
+        if leaf_hook is not None:
+            entry = complete(key, cnt)
+        else:
+            key = tuple(key)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = complete(key, cnt)
+        feasible, gain, tops = entry
+        graphs += feasible
+        total = cnt + gain
+        if total > best:
+            best, masks = total, [edge_mask | s for s in tops[:cap]]
+        elif total == best:
+            room = None if cap is None else cap - len(masks)
+            masks.extend(edge_mask | s for s in tops[:room])
+
+    def rec(idx, edge_mask, cnt):
+        if idx == stop:
+            finish(edge_mask, cnt)
             return
         rec(idx + 1, edge_mask, cnt)
         i, j = slots[idx]
@@ -246,7 +340,7 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
             deg[j] -= 1
 
     rec(prefix_len, edge_mask, cnt)
-    return state["graphs"], state["best"], state["masks"]
+    return graphs, best, masks
 
 
 def _subtree_worker(args):
@@ -281,12 +375,16 @@ def enumerate_and_verify(
     Records the maximum t-clique count, the canonical forms of the
     extremal graphs, and compares them with the predicted disjoint-clique
     forms.  ``leaf_hook(adj, count)`` is called per visited graph when
-    given (single-job runs only).
+    given; worker processes cannot call it, so it needs ``jobs=1``.
     """
     if limit is None:
         limit = exhaustive_limit()
     if not isinstance(n, int) or n < 1:
         raise InvalidArgument(f"need a positive vertex count, got {n!r}")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise InvalidArgument(f"jobs must be an integer >= 1, got {jobs!r}")
+    if leaf_hook is not None and jobs > 1:
+        raise InvalidArgument(f"leaf_hook needs jobs=1, got jobs={jobs}")
     if n > limit:
         raise ExhaustiveLimitExceeded(f"n={n} exceeds exhaustive limit {limit}")
     params, bound = gls_bound(n, d, t)
@@ -294,13 +392,13 @@ def enumerate_and_verify(
     ns = n * (n - 1) // 2
     # bound-0 cells are vacuously extremal everywhere; keep one representative
     cap = 1 if bound == 0 else None
-    if jobs <= 1 or ns == 0:
+    if jobs == 1 or ns == 0:
         graphs, best, masks = _search_subtree(n, d, t, 0, 0, leaf_hook, cap)
     else:
         depth = min(ns, max(1, (4 * jobs - 1).bit_length()))
         tasks = [(n, d, t, bits, depth, None, cap) for bits in range(1 << depth)]
         graphs, best, masks = 0, -1, []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for sg, sb, sm in pool.map(_subtree_worker, tasks):
                 graphs += sg
                 if sb > best:

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs at its stated tolerance and
 prints one PASS/FAIL line (bypassing capture) as it completes."""
 
+import hashlib
 import random
 import sys
 import time
@@ -141,6 +142,16 @@ def test_criterion_5_extremal_uniqueness(capsys, triangle_cells):
             bad.append((n, d))
     _report(capsys, 5, not bad, "extremal sets match qK_{d+1} + K_r / + H predictions")
     assert not bad, f"cells with unexpected extremal sets: {bad}"
+
+
+def test_enumeration_reports_byte_identical(triangle_cells):
+    # One SHA-256 over the reports of criteria 3-5 (t = 3, then t = 4) and of
+    # the two cells perfbench's `small` workload enumerates, pinned when
+    # the search still finished one leaf at a time.
+    t4_cells = {(n, d): enumerate_and_verify(n, d, 4) for n in range(1, 8) for d in range(1, 5)}
+    reports = [*triangle_cells.values(), *t4_cells.values(), triangle_cells[7, 4], t4_cells[7, 3]]
+    digest = hashlib.sha256(b"".join(rep.to_json().encode() + b"\n" for rep in reports))
+    assert digest.hexdigest() == "1cf05058af04e475a8182618915b47d23a55d6fe9fbf7f6643ca4c7d8ce65324"
 
 
 def test_criterion_6_certificate_soundness(capsys, exhaustive_small):

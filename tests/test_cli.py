@@ -107,6 +107,14 @@ def test_enumerate(capsys, tmp_path):
     assert json.loads(out.read_text()) == data
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_bad_jobs_exits_2(capsys, jobs):
+    assert run(["enumerate", "-n", "4", "-d", "3", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: jobs must be an integer >= 1") and captured.err.count("\n") == 1
+
+
 def test_complement_check(k4_file, capsys):
     assert run(["complement-check", k4_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -15,11 +15,12 @@ from trident import (
     count_triangles,
     counting,
     enumerate_and_verify,
+    enumerator,
     gls_bound,
     max_degree,
     random_bounded_graph,
 )
-from trident.enumerator import exhaustive_limit
+from trident.enumerator import _cliques_in_mask, _search_subtree, exhaustive_limit
 from trident.errors import ExhaustiveLimitExceeded, InvalidArgument, TooLargeForCanonicalization
 from conftest import complete_graph
 
@@ -178,7 +179,6 @@ class TestEnumerate:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_jobs_use_every_worker(self, monkeypatch, tmp_path, jobs):
         # Forked workers inherit the patch; each appends its pid per subtree.
-        from trident import enumerator
         serial = enumerate_and_verify(5, 3, 3)
         search, log = enumerator._search_subtree, tmp_path / "pids"
 
@@ -215,3 +215,116 @@ class TestEnumerate:
 
         rep = enumerate_and_verify(5, 3, 3, leaf_hook=hook)
         assert seen == rep.graphs_enumerated
+
+    def test_hook_sees_every_graph(self):
+        for t in (3, 4):
+            seen = []
+
+            def hook(adj, cnt):
+                g = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
+                                    if (adj[u] >> v) & 1])
+                assert max_degree(g) <= 3
+                assert cnt == count_cliques(g, t)
+                seen.append(g.edge_list())
+
+            rep = enumerate_and_verify(5, 3, t, leaf_hook=hook)
+            assert len(seen) == len(set(map(tuple, seen))) == rep.graphs_enumerated
+
+    def test_leaf_hook_needs_one_job(self):
+        # Worker processes cannot call the hook; it is refused, not dropped.
+        with pytest.raises(InvalidArgument, match="leaf_hook needs jobs=1"):
+            enumerate_and_verify(4, 3, 3, jobs=2, leaf_hook=lambda adj, cnt: None)
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, False, 2.5, 1.0, "2", None])
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(InvalidArgument, match="jobs must be an integer >= 1"):
+            enumerate_and_verify(4, 3, 3, jobs=jobs)
+
+    def test_no_more_workers_than_subtrees(self, monkeypatch):
+        # n = 2 has one slot, so two subtrees whatever the job count; the
+        # pool is replaced by an in-process one that starts no process.
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(enumerator, "ProcessPoolExecutor", InProcessPool)
+        assert enumerate_and_verify(2, 1, 3, jobs=3) == enumerate_and_verify(2, 1, 3)
+        assert started == [2]
+
+
+def reference_search_subtree(n, d, t, prefix_bits, prefix_len, cap=None):
+    """The search one leaf at a time, as it was before the last vertices
+    were completed from a table; ``_search_subtree`` must agree with it."""
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ns = len(slots)
+    adj = [0] * n
+    deg = [0] * n
+    cnt = 0
+    edge_mask = 0
+    for idx in range(prefix_len):
+        if not (prefix_bits >> idx) & 1:
+            continue
+        i, j = slots[idx]
+        if deg[i] >= d or deg[j] >= d:
+            return 0, -1, []
+        cnt += _cliques_in_mask(adj, adj[i] & adj[j], t - 2)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        deg[i] += 1
+        deg[j] += 1
+        edge_mask |= 1 << idx
+
+    state = {"graphs": 0, "best": -1, "masks": []}
+
+    def rec(idx, edge_mask, cnt):
+        if idx == ns:
+            state["graphs"] += 1
+            if cnt > state["best"]:
+                state["best"] = cnt
+                state["masks"] = [edge_mask]
+            elif cnt == state["best"] and (cap is None or len(state["masks"]) < cap):
+                state["masks"].append(edge_mask)
+            return
+        rec(idx + 1, edge_mask, cnt)
+        i, j = slots[idx]
+        if deg[i] < d and deg[j] < d:
+            delta = _cliques_in_mask(adj, adj[i] & adj[j], t - 2)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            deg[i] += 1
+            deg[j] += 1
+            rec(idx + 1, edge_mask | (1 << idx), cnt + delta)
+            adj[i] &= ~(1 << j)
+            adj[j] &= ~(1 << i)
+            deg[i] -= 1
+            deg[j] -= 1
+
+    rec(prefix_len, edge_mask, cnt)
+    return state["graphs"], state["best"], state["masks"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_matches_reference(n):
+    # Every prefix of length <= 4, so at n = 4 and n = 5 the prefix reaches
+    # into the last vertices' slots and the table shrinks; masks compare as
+    # ordered lists.
+    ns = n * (n - 1) // 2
+    for d in range(1, 6):
+        for t in (3, 4, 5):
+            for cap in (None, 1):
+                for length in range(min(ns, 4) + 1):
+                    for bits in range(1 << length):
+                        want = reference_search_subtree(n, d, t, bits, length, cap)
+                        assert _search_subtree(n, d, t, bits, length, None, cap) == want, \
+                            (n, d, t, cap, bits, length)
