@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
@@ -81,45 +82,76 @@ def build_extremal(n: int, d: int) -> Graph:
     return build_graph(n, edges)
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+_rngs = threading.local()  # one RandomState per thread, reseeded by every call
+
+
+def _accept(pairs: np.ndarray, deg: np.ndarray, d: int) -> np.ndarray:
+    """The proposals of one chunk that the ordered rule accepts.
+
+    ``deg`` holds the degrees at the chunk's start.  Degrees only grow, so
+    loops and pairs with a full endpoint are refused whatever comes before
+    them.  A vertex whose degree plus its occurrences among the surviving
+    pairs is at most d (uncontested) is below the cap at each of them, so
+    a pair of two such vertices is accepted.  The other pairs go through
+    one loop in order: it sees every pair touching a contested vertex, so
+    its counts are exact there, and an uncontested endpoint passes anyway.
+    """
+    u, v = pairs.T
+    full = deg >= d
+    live = pairs[(u != v) & ~full[u] & ~full[v]]
+    uncontested = deg + np.bincount(live.ravel(), minlength=deg.size) <= d
+    bulk = uncontested[live[:, 0]] & uncontested[live[:, 1]]
+    rest = live[~bulk]
+    cur = deg.tolist()  # the loop's counts, from the chunk's start
+    kept = []
+    for k, (a, b) in enumerate(rest.tolist()):
+        if cur[a] < d and cur[b] < d:
+            cur[a] += 1
+            cur[b] += 1
+            kept.append(k)
+    return np.concatenate([live[bulk], rest[kept]])
+
+
 def random_bounded_graph(n: int, d: int, seed: int) -> Graph:
     """Seeded random graph with maximum degree at most d.
 
     Uniform edge proposals are accepted in order while both endpoints are
     below the cap; the proposal budget is 4*n*d, after which generation
-    halts.  Deterministic for a fixed (n, d, seed); the seed is an integer
-    in [0, 2**32), numpy's ``RandomState`` range.
+    halts.  Deterministic for a fixed (n, d, seed); n and d are positive
+    integers and the seed an integer in [0, 2**32), numpy's ``RandomState``
+    range (numpy integers are accepted, bools are not).
     """
-    if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
+    if not (_is_integer(n) and _is_integer(d)) or n < 1 or d < 1:
         raise InvalidArgument(f"need positive integers n, d; got ({n!r}, {d!r})")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**32:
+    if not _is_integer(seed) or not 0 <= seed < 2**32:
         raise InvalidArgument(f"seed must be an integer in [0, 2**32), got {seed!r}")
+    n, d = int(n), int(d)
     if n == 1:
         return build_graph(1, [])
-    rng = np.random.RandomState(seed)
-    deg = [0] * n
-    full = np.zeros(n, bool)  # deg[v] == d as of the chunk's start
+    rng = getattr(_rngs, "rng", None)
+    if rng is None:
+        rng = _rngs.rng = np.random.RandomState()
+    rng.seed(seed)  # the stream of RandomState(seed), without a fresh generator
+    deg = np.zeros(n, np.int64)
     out = np.empty((n * d // 2 + 1, 2), np.int64)
     m = 0
     remaining = 4 * n * d
+    # Each chunk costs O(n) besides its draws; the draws do not depend on
+    # the split, and build_graph sorts, so the order of acceptance is free.
+    # _accept's arrays die with it, before build_graph's peak.
+    size = max(1 << 14, n)
     while remaining > 0:
-        take = min(1 << 14, remaining)  # the draws do not depend on the split
-        pairs = rng.randint(0, n, size=(take, 2))
+        take = min(size, remaining)
+        accepted = _accept(rng.randint(0, n, size=(take, 2)), deg, d)
         remaining -= take
-        # Degrees only grow, so loops and pairs with a full endpoint are
-        # refused whatever comes before them.
-        u, v = pairs.T
-        live = pairs[(u != v) & ~full[u] & ~full[v]]
-        kept = []
-        for k, (a, b) in enumerate(live.tolist()):
-            if deg[a] < d and deg[b] < d:
-                deg[a] += 1
-                deg[b] += 1
-                kept.append(k)
-        accepted = live[kept]
-        out[m:m + len(kept)] = accepted
-        m += len(kept)
-        ends = accepted.ravel()
-        full[ends] = [deg[x] == d for x in ends.tolist()]
+        out[m:m + len(accepted)] = accepted
+        m += len(accepted)
+        deg += np.bincount(accepted.ravel(), minlength=n)
     return build_graph(n, out[:m])
 
 

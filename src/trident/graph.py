@@ -49,7 +49,7 @@ class Graph:
         return self._indices.size // 2
 
     def check_vertex(self, v: int) -> None:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
             raise InvalidVertex(f"vertex {v} not in [0, {self.n})")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -57,7 +57,7 @@ class Graph:
         self.check_vertex(v)
         lo, hi = self._indptr[u], self._indptr[u + 1]
         i = np.searchsorted(self._indices[lo:hi], v)
-        return i < hi - lo and self._indices[lo + i] == v
+        return bool(i < hi - lo and self._indices[lo + i] == v)
 
     def neighbors(self, v: int) -> list[int]:
         """Sorted open neighborhood of v."""

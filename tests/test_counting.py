@@ -403,6 +403,14 @@ class TestKernelParity:
 
         # 4*n*d passes 2**16 in the last three cells, so they take several
         # chunks of draws.
-        for n, d, seed in [(2, 1, 0), (3, 2, 1), (30, 3, 0), (12, 5, 4), (200, 1, 2),
-                           (1025, 16, 5), (3000, 8, 6), (5000, 4, 7)]:
+        cells = [(2, 1, 0), (3, 2, 1), (30, 3, 0), (12, 5, 4), (200, 1, 2),
+                 (1025, 16, 5), (3000, 8, 6), (5000, 4, 7)]
+        # Every vertex is drawn far more than d times: every proposal is
+        # contested.
+        cells += [(10, 8, 1), (30, 12, 2), (64, 8, 9), (64, 16, 3)]
+        # Many chunks that mix uncontested and contested proposals.
+        cells += [(16500, 16, 1), (20000, 3, 2)]
+        # d >= n - 1: the cap never binds.
+        cells += [(2, 1, 3), (2, 5, 4), (5, 4, 0), (8, 7, 3), (6, 20, 1)]
+        for n, d, seed in cells:
             assert random_bounded_graph(n, d, seed) == reference(n, d, seed), (n, d, seed)

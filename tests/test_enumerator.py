@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+import sys
+import threading
 import time
 from itertools import permutations
 
@@ -69,6 +71,46 @@ class TestRandomBounded:
         assert random_bounded_graph(10, 3, 2**32 - 1) == random_bounded_graph(10, 3, np.uint32(2**32 - 1))
         assert random_bounded_graph(10, 3, np.int64(5)) == random_bounded_graph(10, 3, 5)
         assert random_bounded_graph(10, 3, 0).m > 0
+
+    @pytest.mark.parametrize("n, d", [
+        (True, 3), (False, 3), (10, True), (10, False), (np.bool_(True), 3),
+        (1.0, 3), (10, 3.0), ("10", 3), (None, 3), (0, 3), (10, 0), (-1, 3), (np.int64(0), 3),
+    ])
+    def test_bad_n_d_rejected(self, n, d):
+        with pytest.raises(InvalidArgument, match="need positive integers n, d"):
+            random_bounded_graph(n, d, 0)
+
+    def test_numpy_n_d(self):
+        # numpy integers give the same graph as the int, as seeds do.
+        for n, d in [(np.int64(10), 3), (10, np.int64(3)), (np.uint8(200), np.int32(16)),
+                     (np.int64(1), np.uint8(1))]:
+            assert random_bounded_graph(n, d, 5) == random_bounded_graph(int(n), int(d), 5)
+
+    def test_threads_match_serial(self):
+        # Each thread reseeds its own generator, so three threads drawing
+        # interleaved seeds at once get the graphs of serial calls.
+        cells = [((3000, 8) if s % 2 else (50, 9)) + (s,) for s in range(18)]
+        serial = {cell: csr_digest(random_bounded_graph(*cell)) for cell in cells}
+        start = threading.Barrier(3, timeout=60)
+        got = {}
+
+        def work(mine):
+            start.wait()
+            for cell in mine:
+                got[cell] = csr_digest(random_bounded_graph(*cell))
+
+        threads = [threading.Thread(target=work, args=(cells[i::3],)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the calls
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == serial
 
     def test_degree_cap(self):
         rng = random.Random(1)
@@ -194,7 +236,7 @@ class TestEnumerate:
 
     def test_jobs_agree_with_serial(self):
         serial = enumerate_and_verify(6, 3, 3, jobs=1)
-        parallel = enumerate_and_verify(6, 3, 3, jobs=4)
+        parallel = enumerate_and_verify(6, 3, 3, jobs=3)  # 8 subtrees split unevenly
         assert serial.to_dict() == parallel.to_dict()
 
     def test_leaf_hook_piggyback(self):

@@ -13,6 +13,7 @@ from trident import (
     delete_vertices,
     full_report,
     max_degree,
+    triangles_meeting,
 )
 from trident.errors import EmptyGraph, InvalidArgument, InvalidVertex, SelfLoopRejected
 from trident.graph import _iter_bits
@@ -142,6 +143,25 @@ class TestNeighborhood:
         g = build_graph(3, [])
         with pytest.raises(InvalidVertex):
             closed_neighborhood(g, 3)
+
+    @pytest.mark.parametrize("call", [
+        lambda g, v: g.neighbors(v),
+        lambda g, v: g.has_edge(v, 0),
+        lambda g, v: g.has_edge(0, v),
+        lambda g, v: closed_neighborhood(g, v),
+        lambda g, v: triangles_meeting(g, v),
+        lambda g, v: delete_vertices(g, [v]),
+    ], ids=["neighbors", "has_edge_u", "has_edge_v", "closed_neighborhood",
+            "triangles_meeting", "delete_vertices"])
+    @pytest.mark.parametrize("v", [True, False, np.bool_(True)], ids=["True", "False", "np_True"])
+    def test_bool_is_not_a_vertex(self, call, v):
+        with pytest.raises(InvalidVertex):
+            call(complete_graph(3), v)
+
+    def test_has_edge_returns_a_python_bool(self):
+        g = build_graph(3, [(0, 1)])
+        assert [type(g.has_edge(u, v)) for u, v in [(0, 1), (0, 2), (2, 2)]] == [bool] * 3
+        assert g.has_edge(np.int64(1), 0) is True and g.has_edge(0, 2) is False
 
 
 class TestDelete:
