@@ -10,19 +10,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import IdentityViolation, InvalidArgument
-from .graph import Graph
+from .graph import Graph, check_int
 from .counting import _bitset_counts, count_triangles
 
 
 def binomial(k: int, j: int) -> int:
     """C(k, j) with the convention C(k, j) = 0 for k < j or k < 0."""
-    if not isinstance(j, int) or j < 0:
-        raise InvalidArgument(f"lower index must be a nonnegative integer, got {j!r}")
-    if not isinstance(k, int):
-        raise InvalidArgument(f"upper index must be an integer, got {k!r}")
-    if k < 0 or k < j:
-        return 0
-    return math.comb(k, j)
+    j = check_int(j, "lower index", 0)
+    k = check_int(k, "upper index")
+    return math.comb(k, j) if k >= j else 0
 
 
 @dataclass(frozen=True)
@@ -50,20 +46,17 @@ def _gls(n: int, d: int, t: int) -> int:
 
 def gls_bound(n: int, d: int, t: int = 3) -> tuple[BoundParams, int]:
     """Maximum number of t-cliques in an n-vertex graph of maximum degree d."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgument(f"vertex count must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or d < 1:
-        raise InvalidArgument(f"maximum degree must be a positive integer, got {d!r}")
-    if not isinstance(t, int) or t < 3:
-        raise InvalidArgument(f"clique size must be an integer >= 3, got {t!r}")
+    n = check_int(n, "vertex count", 1)
+    d = check_int(d, "maximum degree", 1)
+    t = check_int(t, "clique size", 3)
     q, r = divmod(n, d + 1)
-    return BoundParams(n=n, d=d, t=t, q=q, r=r), q * binomial(d + 1, t) + binomial(r, t)
+    return BoundParams(n=n, d=d, t=t, q=q, r=r), _gls(n, d, t)
 
 
 def shift_inequality_check(a: int, b: int) -> bool:
     """C(a,3) + C(b,3) <= C(a+1,3) + C(b-1,3); true for all a >= b >= 1."""
-    if not (isinstance(a, int) and isinstance(b, int) and a >= b >= 1):
-        raise InvalidArgument(f"need integers a >= b >= 1, got ({a!r}, {b!r})")
+    b = check_int(b, "b", 1)
+    a = check_int(a, "a", b)
     return binomial(a, 3) + binomial(b, 3) <= binomial(a + 1, 3) + binomial(b - 1, 3)
 
 
@@ -73,10 +66,10 @@ def merge_bound(a: int, b: int, c: int) -> int:
     Requires max(a, b) <= c <= a + b.  It is the end point of repeated
     shift_inequality_check moves; no certificate or counting path calls it.
     """
-    if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
-        raise InvalidArgument(f"need nonnegative integers a, b, got ({a!r}, {b!r})")
-    if not (isinstance(c, int) and max(a, b) <= c <= a + b):
-        raise InvalidArgument(f"need max(a,b) <= c <= a+b, got c={c!r} for a={a}, b={b}")
+    a, b = check_int(a, "a", 0), check_int(b, "b", 0)
+    c = check_int(c, "c", max(a, b))
+    if c > a + b:
+        raise InvalidArgument(f"need max(a,b) <= c <= a+b, got c={c} for a={a}, b={b}")
     return binomial(c, 3) + binomial(a + b - c, 3)
 
 

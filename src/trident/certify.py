@@ -21,7 +21,7 @@ from .bounds import _gls, binomial, gls_bound
 from .counting import meeting_counts
 from .errors import DegreeExceeded, EmptyGraph, FormatError, IdentityViolation
 from .formats import graph_hash
-from .graph import Graph, closed_neighborhood, delete_vertices, max_degree
+from .graph import Graph, check_int, closed_neighborhood, delete_vertices, max_degree
 
 HASH_ALGORITHM = "sha256"
 
@@ -121,6 +121,7 @@ def select_vertex(g: Graph) -> int:
 
 def peel(g: Graph, d: int) -> PeelCertificate:
     """Execute the full peeling induction on g and record the transcript."""
+    d = check_int(d, "maximum degree", 1)
     if g.n == 0:
         raise EmptyGraph("cannot peel an empty graph")
     if max_degree(g) > d:

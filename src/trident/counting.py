@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _fast
 from .errors import IdentityViolation, InvalidCliqueSize
-from .graph import Graph, _iter_bits, closed_neighborhood, delete_vertices
+from .graph import Graph, _iter_bits, check_int, closed_neighborhood, delete_vertices
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,7 @@ def count_triangles(g: Graph) -> int:
 
 def count_cliques(g: Graph, t: int) -> int:
     """Exact number of t-subsets of vertices inducing a complete graph."""
-    if not isinstance(t, int) or t < 1:
-        raise InvalidCliqueSize(f"clique size must be a positive integer, got {t!r}")
+    t = check_int(t, "clique size", 1, InvalidCliqueSize)
     if t == 1:
         return g.n
     if t == 2:

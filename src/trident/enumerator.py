@@ -25,7 +25,7 @@ from .errors import (
     TooLargeForCanonicalization,
 )
 from .formats import g6_encode
-from .graph import Graph, _iter_bits, build_graph
+from .graph import Graph, _is_int, _iter_bits, build_graph, check_int
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 EXHAUSTIVE_LIMIT_ENV = "TRIDENT_MAX_EXHAUSTIVE_N"
@@ -69,8 +69,7 @@ class EnumerationReport:
 
 def build_extremal(n: int, d: int) -> Graph:
     """q disjoint copies of K_{d+1} plus one K_r, where n = q(d+1) + r."""
-    if not isinstance(n, int) or n < 1 or not isinstance(d, int) or d < 1:
-        raise InvalidArgument(f"need positive integers n, d; got ({n!r}, {d!r})")
+    n, d = check_int(n, "vertex count", 1), check_int(d, "maximum degree", 1)
     edges = []
     block_start = 0
     while block_start < n:
@@ -80,11 +79,6 @@ def build_extremal(n: int, d: int) -> Graph:
                 edges.append((i, j))
         block_start += size
     return build_graph(n, edges)
-
-
-def _is_integer(x) -> bool:
-    """An int or numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 _rngs = threading.local()  # one RandomState per thread, reseeded by every call
@@ -126,11 +120,9 @@ def random_bounded_graph(n: int, d: int, seed: int) -> Graph:
     integers and the seed an integer in [0, 2**32), numpy's ``RandomState``
     range (numpy integers are accepted, bools are not).
     """
-    if not (_is_integer(n) and _is_integer(d)) or n < 1 or d < 1:
-        raise InvalidArgument(f"need positive integers n, d; got ({n!r}, {d!r})")
-    if not _is_integer(seed) or not 0 <= seed < 2**32:
+    n, d = check_int(n, "vertex count", 1), check_int(d, "maximum degree", 1)
+    if not (_is_int(seed) and 0 <= seed < 2**32):
         raise InvalidArgument(f"seed must be an integer in [0, 2**32), got {seed!r}")
-    n, d = int(n), int(d)
     if n == 1:
         return build_graph(1, [])
     rng = getattr(_rngs, "rng", None)
@@ -384,7 +376,7 @@ def graph_from_slot_mask(n: int, mask: int) -> Graph:
     return build_graph(n, [slots[k] for k in _iter_bits(mask)])
 
 
-def _predicted_forms(n: int, d: int, q: int, r: int) -> list[bytes]:
+def _predicted_forms(n: int, d: int, r: int) -> list[bytes]:
     """Canonical forms of qK_{d+1} joined with every graph H on r vertices (r <= 2),
     or just K_r when r >= 3."""
     base = build_extremal(n, d)
@@ -399,7 +391,6 @@ def enumerate_and_verify(
     d: int,
     t: int = 3,
     jobs: int = 1,
-    limit: int | None = None,
     leaf_hook=None,
 ) -> EnumerationReport:
     """Visit every labeled graph on n vertices with max degree <= d.
@@ -409,17 +400,14 @@ def enumerate_and_verify(
     forms.  ``leaf_hook(adj, count)`` is called per visited graph when
     given; worker processes cannot call it, so it needs ``jobs=1``.
     """
-    if limit is None:
-        limit = exhaustive_limit()
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgument(f"need a positive vertex count, got {n!r}")
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise InvalidArgument(f"jobs must be an integer >= 1, got {jobs!r}")
+    n, jobs = check_int(n, "vertex count", 1), check_int(jobs, "jobs", 1)
     if leaf_hook is not None and jobs > 1:
         raise InvalidArgument(f"leaf_hook needs jobs=1, got jobs={jobs}")
+    limit = exhaustive_limit()
     if n > limit:
         raise ExhaustiveLimitExceeded(f"n={n} exceeds exhaustive limit {limit}")
     params, bound = gls_bound(n, d, t)
+    d, t = params.d, params.t
 
     ns = n * (n - 1) // 2
     # bound-0 cells are vacuously extremal everywhere; keep one representative
@@ -446,7 +434,7 @@ def enumerate_and_verify(
         verdict = "not-applicable"
         matches = True
     else:
-        predicted = _predicted_forms(n, d, params.q, params.r)
+        predicted = _predicted_forms(n, d, params.r)
         matches = forms == predicted
         if params.r >= 3 or len(predicted) == 1:
             verdict = "unique-as-predicted" if matches and len(forms) == 1 else "multiple-extremal"

@@ -235,32 +235,34 @@ def graph_hash(g: Graph, algorithm: str = "sha256") -> str:
 # -- file loading ---------------------------------------------------------
 
 
+def _format(path: Path, fmt: str | None) -> str:
+    """``fmt``, or "g6" for a .g6 file and "el" otherwise; FormatError if unknown."""
+    if fmt is None:
+        fmt = "g6" if path.suffix == ".g6" else "el"
+    if fmt not in ("g6", "el"):
+        raise FormatError(f"unknown format {fmt!r}")
+    return fmt
+
+
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     """Load a graph file; format from ``fmt`` or inferred from the extension."""
     path = Path(path)
-    if fmt is None:
-        fmt = "g6" if path.suffix == ".g6" else "el"
+    fmt = _format(path, fmt)
     try:
         text = path.read_bytes().decode("ascii")
     except UnicodeDecodeError as e:
         raise FormatError(f"non-ASCII byte at offset {e.start} of {path}") from None
-    if fmt == "g6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) != 1:
-            raise FormatError(f"expected a single graph6 line in {path}")
-        return read_graph6(lines[0])
     if fmt == "el":
         return read_edge_list(text)
-    raise FormatError(f"unknown format {fmt!r}")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 1:
+        raise FormatError(f"expected a single graph6 line in {path}")
+    return read_graph6(lines[0])
 
 
 def save_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
     path = Path(path)
-    if fmt is None:
-        fmt = "g6" if path.suffix == ".g6" else "el"
-    if fmt == "g6":
+    if _format(path, fmt) == "g6":
         path.write_text(write_graph6(g) + "\n")
-    elif fmt == "el":
-        path.write_bytes(_edge_list_bytes(g))
     else:
-        raise FormatError(f"unknown format {fmt!r}")
+        path.write_bytes(_edge_list_bytes(g))

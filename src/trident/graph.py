@@ -18,6 +18,21 @@ import numpy as np
 from .errors import EmptyGraph, InvalidArgument, InvalidVertex, SelfLoopRejected
 
 
+def _is_int(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_int(value, what: str, low: int | None = None, error=InvalidArgument) -> int:
+    """``value`` as a Python int, or ``error``: an int or numpy integer,
+    not a bool, and at least ``low`` when given."""
+    if not _is_int(value) or low is not None and value < low:
+        rule = ("an integer" if low is None else "a nonnegative integer" if low == 0
+                else f"an integer >= {low}")
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def _iter_bits(mask: int):
     """Yield set bit positions of a Python int, ascending."""
     while mask:
@@ -49,7 +64,7 @@ class Graph:
         return self._indices.size // 2
 
     def check_vertex(self, v: int) -> None:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+        if not (_is_int(v) and 0 <= v < self.n):
             raise InvalidVertex(f"vertex {v} not in [0, {self.n})")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -111,9 +126,7 @@ def build_graph(n: int, edges) -> Graph:
     InvalidVertex for endpoints that are not integers in [0, n) and
     SelfLoopRejected for pairs (v, v).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidArgument(f"vertex count must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = check_int(n, "vertex count", 0)
     if n * n >= 2**63:  # the int64 keys head*n + tail reach n*n
         raise InvalidArgument(f"vertex count {n} is too large: n*n must stay below 2**63")
     rows = None if isinstance(edges, np.ndarray) else list(edges)

@@ -128,11 +128,11 @@ def test_criterion_4_theorem2_t4(capsys):
 def test_criterion_5_extremal_uniqueness(capsys, triangle_cells):
     bad = []
     for (n, d), rep in triangle_cells.items():
-        q, r = divmod(n, d + 1)
+        r = n % (d + 1)
         if rep.bound == 0:
             # everything ties at zero triangles; the structural claim is vacuous
             continue
-        predicted = sorted(f.decode() for f in _predicted_forms(n, d, q, r))
+        predicted = sorted(f.decode() for f in _predicted_forms(n, d, r))
         if r >= 3:
             ok = rep.extremal_graphs == [canonical_form(build_extremal(n, d)).decode()]
             ok = ok and rep.uniqueness_verdict == "unique-as-predicted"

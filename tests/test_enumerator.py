@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -77,7 +78,10 @@ class TestRandomBounded:
         (1.0, 3), (10, 3.0), ("10", 3), (None, 3), (0, 3), (10, 0), (-1, 3), (np.int64(0), 3),
     ])
     def test_bad_n_d_rejected(self, n, d):
-        with pytest.raises(InvalidArgument, match="need positive integers n, d"):
+        # n is checked first; in the cases with a good n, d is the bad one.
+        what, value = ("maximum degree", d) if type(n) is int and n >= 1 else ("vertex count", n)
+        message = f"{what} must be an integer >= 1, got {value!r}"
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
             random_bounded_graph(n, d, 0)
 
     def test_numpy_n_d(self):
@@ -202,9 +206,10 @@ class TestEnumerate:
         assert rep.max_cliques_found == 5
         assert not rep.violation_found
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
+        monkeypatch.delenv("TRIDENT_MAX_EXHAUSTIVE_N", raising=False)  # the default, 8
         with pytest.raises(ExhaustiveLimitExceeded):
-            enumerate_and_verify(9, 3, 3, limit=8)
+            enumerate_and_verify(9, 3, 3)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "4")
