@@ -32,10 +32,11 @@ class BoundParams:
     r: int
 
     def __post_init__(self):
-        if self.n != self.q * (self.d + 1) + self.r or not 0 <= self.r <= self.d:
+        for name, what, low in (("n", "vertex count", 1), ("d", "maximum degree", 1),
+                                ("t", "clique size", 3), ("q", "quotient", 0), ("r", "remainder", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), what, low))
+        if self.n != self.q * (self.d + 1) + self.r or self.r > self.d:
             raise InvalidArgument(f"inconsistent decomposition {self}")
-        if self.q < 0:
-            raise InvalidArgument(f"negative quotient in {self}")
 
 
 def _gls(n: int, d: int, t: int) -> int:
@@ -48,9 +49,8 @@ def gls_bound(n: int, d: int, t: int = 3) -> tuple[BoundParams, int]:
     """Maximum number of t-cliques in an n-vertex graph of maximum degree d."""
     n = check_int(n, "vertex count", 1)
     d = check_int(d, "maximum degree", 1)
-    t = check_int(t, "clique size", 3)
-    q, r = divmod(n, d + 1)
-    return BoundParams(n=n, d=d, t=t, q=q, r=r), _gls(n, d, t)
+    params = BoundParams(n, d, t, *divmod(n, d + 1))  # checks t
+    return params, _gls(n, d, params.t)
 
 
 def shift_inequality_check(a: int, b: int) -> bool:

@@ -170,14 +170,12 @@ def peel(g: Graph, d: int) -> PeelCertificate:
 
 
 def _argmin_slack(g: Graph, counts: list[int]) -> int:
-    best, best_key = 0, None
-    for v in range(g.n):
-        key = (counts[v] - binomial(g.degrees[v] + 1, 3), g.degrees[v], v)
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    if best_key[0] > 0:
+    step_bound = [binomial(k + 1, 3) for k in range(max(g.degrees) + 1)]  # by degree
+    slack, _, v = min((c - step_bound[k], k, v)
+                      for v, (c, k) in enumerate(zip(counts, g.degrees)))
+    if slack > 0:
         raise IdentityViolation("no vertex with nonpositive slack; counting bug")
-    return best
+    return v
 
 
 # -- independent verification ---------------------------------------------

@@ -117,21 +117,18 @@ def _bitset_counts(rows: list[int], want_meeting: bool = True, cubes: int | None
 # -- triangle counting ----------------------------------------------------
 
 
-def _forward_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Orient each edge from lower to higher (degree, index) rank; CSR rows sorted."""
-    n = g.n
-    rank = np.asarray(g.degrees, np.int64) * n + np.arange(n)  # (degree, index) as one key
+def _orient(g: Graph):
+    """((indptr, indices), keys): each edge oriented from lower to higher
+    (degree, index) rank as a CSR with sorted rows, and the undirected edge
+    keys u*n + v (u < v), sorted because the CSR lists them in order."""
+    n, indices = g.n, g._indices
     heads = np.repeat(np.arange(n), np.diff(g._indptr))
-    forward = rank[heads] < rank[g._indices]  # masking keeps each sorted row sorted
+    rank = np.asarray(g.degrees, np.int64) * n + np.arange(n)  # (degree, index) as one key
+    forward = rank[heads] < rank[indices]  # masking keeps each sorted row sorted
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(heads[forward], minlength=n), out=indptr[1:])
-    return indptr, g._indices[forward]
-
-
-def _edge_keys(g: Graph) -> np.ndarray:
-    """Undirected edge keys u*n + v (u < v), sorted: the CSR lists them in order."""
-    arr = g.edge_array()
-    return arr[:, 0] * g.n + arr[:, 1]
+    up = heads < indices
+    return (indptr, indices[forward]), heads[up] * n + indices[up]
 
 
 def count_triangles(g: Graph) -> int:
@@ -149,7 +146,7 @@ def count_cliques(g: Graph, t: int) -> int:
         return g.n
     if t == 2:
         return g.m
-    fwd, keys = _forward_csr(g), _edge_keys(g)
+    fwd, keys = _orient(g)
     return sum(_extended_cliques(fwd, keys, [h, v, w], t - 3)
                for h, v, w, _ in _fast.forward_triangle_chunks(*fwd, keys))
 
@@ -244,7 +241,7 @@ def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
     full_report's identity stays a check.
     """
     n, indptr, indices = g.n, g._indptr, g._indices
-    fwd, keys = _forward_csr(g), _edge_keys(g)
+    fwd, keys = _orient(g)
     if not want_meeting and cubes is None:
         return _fast.forward_triangles(*fwd, keys), None, None
     want_w = cubes is not None

@@ -250,13 +250,15 @@ def _block_table(n: int, b: int, t: int):
     return plan, table
 
 
-def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
+def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None):
     """Enumerate all completions of a fixed prefix of edge-slot decisions.
 
     Returns (graphs_enumerated, best_count, extremal_edge_masks).  The
-    prefix assigns the first ``prefix_len`` lexicographic slots; an
-    infeasible prefix yields (0, -1, []).  ``cap`` limits how many tied
-    extremal graphs are retained (used for degenerate bound-0 cells).
+    prefix decides the first ``prefix_len`` lexicographic slots: below it
+    the recursion follows only the prefix bit, so an infeasible prefix
+    reaches no graph and yields (0, 0, []).  Tied extremal graphs are kept
+    only while the best count is positive; a subtree with no t-clique
+    returns no mask.
 
     The slots among the last BLOCK vertices come last.  The search stops
     before them and completes them from one table: a t-clique that gains
@@ -278,24 +280,11 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
     residual = [min(d - k, b - 1) for k in range(d + 1)]
     adj = [0] * n
     deg = [0] * n
-    cnt = 0
-    edge_mask = 0
-    for idx in range(prefix_len):
-        if not (prefix_bits >> idx) & 1:
-            continue
-        i, j = slots[idx]
-        if deg[i] >= d or deg[j] >= d:
-            return 0, -1, []
-        cnt += _cliques_in_mask(adj, adj[i] & adj[j], t - 2)
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        deg[i] += 1
-        deg[j] += 1
-        edge_mask |= 1 << idx
-
-    graphs, best, masks = 0, -1, []
+    graphs, best, masks = 0, 0, []
     memo = {}
     triangles_only = t == 3
+    below = (1 << prefix_len) - 1  # the slots the prefix decides
+    must_take, must_skip = prefix_bits & below, ~prefix_bits & below
 
     def complete(key, cnt):
         """(feasible completions, best gain, slot bits of the best ones in order)."""
@@ -338,18 +327,18 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
         graphs += feasible
         total = cnt + gain
         if total > best:
-            best, masks = total, [edge_mask | s for s in tops[:cap]]
-        elif total == best:
-            room = None if cap is None else cap - len(masks)
-            masks.extend(edge_mask | s for s in tops[:room])
+            best, masks = total, [edge_mask | s for s in tops]
+        elif total == best > 0:
+            masks.extend(edge_mask | s for s in tops)
 
     def rec(idx, edge_mask, cnt):
         if idx == stop:
             finish(edge_mask, cnt)
             return
-        rec(idx + 1, edge_mask, cnt)
+        if not (must_take >> idx) & 1:
+            rec(idx + 1, edge_mask, cnt)
         i, j = slots[idx]
-        if deg[i] < d and deg[j] < d:
+        if not (must_skip >> idx) & 1 and deg[i] < d and deg[j] < d:
             common = adj[i] & adj[j]
             delta = common.bit_count() if triangles_only else _cliques_in_mask(adj, common, t - 2)
             bi, bj = 1 << i, 1 << j
@@ -363,7 +352,7 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None, cap=None):
             deg[i] -= 1
             deg[j] -= 1
 
-    rec(prefix_len, edge_mask, cnt)
+    rec(0, 0, 0)
     return graphs, best, masks
 
 
@@ -409,24 +398,24 @@ def enumerate_and_verify(
     params, bound = gls_bound(n, d, t)
     d, t = params.d, params.t
 
-    ns = n * (n - 1) // 2
-    # bound-0 cells are vacuously extremal everywhere; keep one representative
-    cap = 1 if bound == 0 else None
-    if jobs == 1 or ns == 0:
-        graphs, best, masks = _search_subtree(n, d, t, 0, 0, leaf_hook, cap)
+    # One subtree per prefix of the first ``depth`` slots; one job searches the whole tree.
+    depth = 0 if jobs == 1 else min(n * (n - 1) // 2, (4 * jobs - 1).bit_length())
+    tasks = [(n, d, t, bits, depth, leaf_hook) for bits in range(1 << depth)]
+    if len(tasks) == 1:
+        results = [_subtree_worker(tasks[0])]
     else:
-        depth = min(ns, max(1, (4 * jobs - 1).bit_length()))
-        tasks = [(n, d, t, bits, depth, None, cap) for bits in range(1 << depth)]
-        graphs, best, masks = 0, -1, []
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for sg, sb, sm in pool.map(_subtree_worker, tasks):
-                graphs += sg
-                if sb > best:
-                    best, masks = sb, list(sm)
-                elif sb == best and (cap is None or len(masks) < cap):
-                    masks.extend(sm)
+            results = list(pool.map(_subtree_worker, tasks))
+    graphs, best, masks = 0, 0, []
+    for sg, sb, sm in results:
+        graphs += sg
+        if sb > best:
+            best, masks = sb, sm
+        elif sb == best:
+            masks.extend(sm)
 
-    forms = sorted({canonical_form(graph_from_slot_mask(n, mk)) for mk in masks})
+    # A cell with no t-clique (bound 0) reports one representative, the empty graph.
+    forms = sorted({canonical_form(graph_from_slot_mask(n, mk)) for mk in masks or [0]})
     violation = best > bound
 
     if t != 3 or bound == 0 or graphs == 0:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from trident import (
+    BoundParams,
     binomial,
     build_extremal,
     build_graph,
@@ -36,6 +37,11 @@ ENTRY_POINTS = {
     "gls_bound n": (lambda x: gls_bound(x, 3), 8, 0, InvalidArgument),
     "gls_bound d": (lambda x: gls_bound(8, x), 3, 0, InvalidArgument),
     "gls_bound t": (lambda x: gls_bound(8, 3, x), 4, 2, InvalidArgument),
+    "BoundParams n": (lambda x: BoundParams(x, 3, 3, 2, 0), 8, 0, InvalidArgument),
+    "BoundParams d": (lambda x: BoundParams(8, x, 3, 2, 0), 3, 0, InvalidArgument),
+    "BoundParams t": (lambda x: BoundParams(8, 3, x, 2, 0), 3, 2, InvalidArgument),
+    "BoundParams q": (lambda x: BoundParams(8, 3, 3, x, 0), 2, -1, InvalidArgument),
+    "BoundParams r": (lambda x: BoundParams(7, 3, 3, 1, x), 3, -1, InvalidArgument),
     "shift_inequality_check a": (lambda x: shift_inequality_check(x, 3), 5, 2, InvalidArgument),
     "shift_inequality_check b": (lambda x: shift_inequality_check(5, x), 3, 0, InvalidArgument),
     "merge_bound a": (lambda x: merge_bound(x, 3, 5), 4, -1, InvalidArgument),

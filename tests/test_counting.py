@@ -314,7 +314,7 @@ class TestKernelParity:
     def test_forward_triangle_kernels_agree(self, monkeypatch):
         import numpy as np
         from trident import _fast
-        from trident.counting import _edge_keys, _forward_csr
+        from trident.counting import _orient
 
         def lexsort_forward(g):
             # (degree, index) rank and (head, tail) order by two lexsorts
@@ -331,11 +331,11 @@ class TestKernelParity:
             return indptr.astype(np.int64), tails[order].astype(np.int64)
 
         def check(g):
-            ip, ix = _forward_csr(g)
+            (ip, ix), keys = _orient(g)
             ref_ip, ref_ix = lexsort_forward(g)
             assert ip.dtype == ix.dtype == np.int64
             assert np.array_equal(ip, ref_ip) and np.array_equal(ix, ref_ix)
-            listed = _fast.forward_triangles(ip, ix, _edge_keys(g))
+            listed = _fast.forward_triangles(ip, ix, keys)
             assert listed == brute_triangles(g) == count_triangles(g)  # the bitset kernel
             return ip
 
@@ -361,7 +361,7 @@ class TestKernelParity:
         # The entries head < tail of the CSR are the keys the listing used to
         # sort out of the forward CSR, so every closing edge keeps its position.
         from trident import _fast
-        from trident.counting import _edge_keys, _forward_csr
+        from trident.counting import _orient
 
         def sorted_forward_keys(indptr, indices):
             n = indptr.size - 1
@@ -375,8 +375,8 @@ class TestKernelParity:
         graphs += [random_graph(rng, rng.randrange(2, 40), rng.random()) for _ in range(20)]
         monkeypatch.setattr(_fast, "WEDGE_BUDGET", 3)
         for g in graphs:
-            ip, ix = _forward_csr(g)
-            keys, old = _edge_keys(g), sorted_forward_keys(ip, ix)
+            (ip, ix), keys = _orient(g)
+            old = sorted_forward_keys(ip, ix)
             assert keys.dtype == np.int64 and np.array_equal(keys, old)
             chunks = list(_fast.forward_triangle_chunks(ip, ix, keys))
             old_chunks = list(_fast.forward_triangle_chunks(ip, ix, old))

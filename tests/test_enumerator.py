@@ -240,9 +240,12 @@ class TestEnumerate:
         assert len(set(log.read_text().split())) == jobs
 
     def test_jobs_agree_with_serial(self):
-        serial = enumerate_and_verify(6, 3, 3, jobs=1)
-        parallel = enumerate_and_verify(6, 3, 3, jobs=3)  # 8 subtrees split unevenly
-        assert serial.to_dict() == parallel.to_dict()
+        # 16 subtrees over 3 workers; (5, 1, 3) has no triangle and reports the empty graph
+        for cell in [(6, 3, 3), (5, 1, 3)]:
+            serial = enumerate_and_verify(*cell, jobs=1)
+            parallel = enumerate_and_verify(*cell, jobs=3)
+            assert serial.to_dict() == parallel.to_dict()
+        assert parallel.extremal_graphs == ["D??"]
 
     def test_leaf_hook_piggyback(self):
         # Lemma checks on every enumerated graph of a small cell
@@ -310,7 +313,7 @@ class TestEnumerate:
         assert started == [2]
 
 
-def reference_search_subtree(n, d, t, prefix_bits, prefix_len, cap=None):
+def reference_search_subtree(n, d, t, prefix_bits, prefix_len):
     """The search one leaf at a time, as it was before the last vertices
     were completed from a table; ``_search_subtree`` must agree with it."""
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -324,7 +327,7 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len, cap=None):
             continue
         i, j = slots[idx]
         if deg[i] >= d or deg[j] >= d:
-            return 0, -1, []
+            return 0, 0, []
         cnt += _cliques_in_mask(adj, adj[i] & adj[j], t - 2)
         adj[i] |= 1 << j
         adj[j] |= 1 << i
@@ -332,7 +335,7 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len, cap=None):
         deg[j] += 1
         edge_mask |= 1 << idx
 
-    state = {"graphs": 0, "best": -1, "masks": []}
+    state = {"graphs": 0, "best": 0, "masks": []}
 
     def rec(idx, edge_mask, cnt):
         if idx == ns:
@@ -340,7 +343,7 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len, cap=None):
             if cnt > state["best"]:
                 state["best"] = cnt
                 state["masks"] = [edge_mask]
-            elif cnt == state["best"] and (cap is None or len(state["masks"]) < cap):
+            elif cnt == state["best"] > 0:  # no mask while no t-clique is found
                 state["masks"].append(edge_mask)
             return
         rec(idx + 1, edge_mask, cnt)
@@ -369,9 +372,8 @@ def test_search_matches_reference(n):
     ns = n * (n - 1) // 2
     for d in range(1, 6):
         for t in (3, 4, 5):
-            for cap in (None, 1):
-                for length in range(min(ns, 4) + 1):
-                    for bits in range(1 << length):
-                        want = reference_search_subtree(n, d, t, bits, length, cap)
-                        assert _search_subtree(n, d, t, bits, length, None, cap) == want, \
-                            (n, d, t, cap, bits, length)
+            for length in range(min(ns, 4) + 1):
+                for bits in range(1 << length):
+                    want = reference_search_subtree(n, d, t, bits, length)
+                    assert _search_subtree(n, d, t, bits, length) == want, \
+                        (n, d, t, bits, length)
