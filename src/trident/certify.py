@@ -225,11 +225,13 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
         return VerifyResult(False, "bound value mismatch")
 
     # The replay runs on g's own ids: each vertex keeps the set of its
-    # surviving neighbors, and a step's relabeled id is its alive rank.
+    # surviving neighbors, and a step's relabeled id is its alive rank, read
+    # from a Fenwick tree over the alive flags (node x covers x & -x ids).
     n = g.n
     indptr, indices = g._indptr.tolist(), g._indices.tolist()
     nbrs = [set(indices[indptr[u]:indptr[u + 1]]) for u in range(n)]
     alive = bytearray(b"\x01") * n
+    tree = [x & -x for x in range(n + 1)]
     remaining = n
     total = 0
     for i, step in enumerate(cert.steps):
@@ -238,7 +240,10 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
         v = step.original_vertex
         if not (isinstance(v, int) and 0 <= v < n and alive[v]):
             return VerifyResult(False, f"step {i}: original vertex already deleted")
-        if step.chosen_vertex != alive.count(1, 0, v):
+        rank, j = 0, v
+        while j:
+            rank, j = rank + tree[j], j & (j - 1)
+        if step.chosen_vertex != rank:
             return VerifyResult(False, f"step {i}: chosen vertex inconsistent with relabeling")
         if step.degree_at_choice != len(nbrs[v]):
             return VerifyResult(False, f"step {i}: degree mismatch")
@@ -250,6 +255,10 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
             return VerifyResult(False, f"step {i}: step bound violated")
         for u in closed:
             alive[u] = 0
+            j = u + 1
+            while j <= n:
+                tree[j] -= 1
+                j += j & -j
             for x in nbrs[u]:
                 nbrs[x].discard(u)
         remaining -= len(closed)

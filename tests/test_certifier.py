@@ -218,6 +218,21 @@ class TestLocalReplay:
             res = verify_certificate(g, bad)
             assert not res and res.reason == f"step {k}: triangles_removed mismatch"
 
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rank_tamper_after_deletions(self, peeled, where, delta):
+        # Past step 0 the alive rank differs from the vertex id.
+        moved = 0
+        for g, cert in peeled:
+            k = len(cert.steps) // 2 if where == "middle" else len(cert.steps) - 1
+            step = cert.steps[k]
+            moved += step.chosen_vertex != step.original_vertex
+            bad = _with_step(cert, k, chosen_vertex=step.chosen_vertex + delta)
+            res = verify_certificate(g, bad)
+            assert not res
+            assert res.reason == f"step {k}: chosen vertex inconsistent with relabeling"
+        assert moved
+
     @pytest.mark.parametrize("vertex", [-1, "n"])
     def test_out_of_range_vertex(self, vertex):
         g = random_bounded_graph(80, 6, 5)

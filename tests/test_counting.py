@@ -414,3 +414,86 @@ class TestKernelParity:
         cells += [(2, 1, 3), (2, 5, 4), (5, 4, 0), (8, 7, 3), (6, 20, 1)]
         for n, d, seed in cells:
             assert random_bounded_graph(n, d, seed) == reference(n, d, seed), (n, d, seed)
+
+
+def searched_wedges(keys, table, queries):
+    """The wedge lookup without the bit table: every wedge is sorted and
+    searched in ``keys``."""
+    shift = max(queries.size - 1, 1).bit_length()
+    packed = queries << shift | np.arange(queries.size)
+    packed.sort()
+    wedges = packed >> shift
+    pos = np.minimum(np.searchsorted(keys, wedges), keys.size - 1)
+    hit = keys[pos] == wedges
+    return packed[hit] & ((1 << shift) - 1), pos[hit]
+
+
+class TestWedgeFilter:
+    """The hashed bit table only drops open wedges: the listing equals one
+    that searches every wedge."""
+
+    def listings_agree(self, monkeypatch, g, seen):
+        """Compare the listing of g with and without the bit table, and add
+        each lookup's wedges to ``seen`` as (open, bit set) flag arrays."""
+        from trident import _fast
+        from trident.counting import _orient
+
+        def recording(keys, table, queries):
+            in_keys = np.isin(queries, keys)
+            byte, bit = _fast._slots(queries, table)
+            seen.append((~in_keys, (table[byte] >> bit & 1).astype(bool)))
+            return searched_wedges(keys, table, queries)
+
+        (ip, ix), keys = _orient(g)
+        filtered = list(_fast.forward_triangle_chunks(ip, ix, keys))
+        with monkeypatch.context() as m:
+            m.setattr(_fast, "_closed_wedges", recording)
+            plain = list(_fast.forward_triangle_chunks(ip, ix, keys))
+        assert len(filtered) == len(plain)
+        for new, old in zip(filtered, plain):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(new, old))
+        assert sum(h.size for h, _, _, _ in filtered) == count_triangles(g)
+        return np.diff(ip)
+
+    def test_random_graphs(self, monkeypatch):
+        from trident import random_bounded_graph
+
+        rng = random.Random(97)
+        graphs = [random_graph(rng, rng.randrange(2, 40), rng.random()) for _ in range(20)]
+        graphs += [random_bounded_graph(n, d, seed)
+                   for n, d, seed in [(500, 16, 1), (3000, 8, 2), (20000, 16, 3)]]
+        seen = []
+        for g in graphs:
+            self.listings_agree(monkeypatch, g, seen)
+        open_ = np.concatenate([o for o, _ in seen])
+        lit = np.concatenate([b for _, b in seen])
+        # Open wedges whose bit is set reach the exact search and are
+        # rejected there; with 8 to 16 bits per key they are few.
+        false_positives = int((open_ & lit).sum())
+        assert open_.size > 100_000 and 0 < false_positives < 0.15 * open_.sum()
+        assert lit[~open_].all()  # every edge key's own bit is set
+
+    def test_extremal_graphs(self, monkeypatch):
+        from trident import build_extremal
+
+        seen = []
+        for n, d in [(4, 3), (60, 5), (200, 16), (1000, 30)]:
+            self.listings_agree(monkeypatch, build_extremal(n, d), seen)
+        assert seen and not any(o.any() for o, _ in seen)  # every wedge closes
+        assert all(b.all() for _, b in seen)
+
+    def test_budget_split(self, monkeypatch):
+        # With a budget of 3 wedges, each row of length 3 is a chunk of its
+        # own (the grouped-rows branch) and longer rows are taken one vertex
+        # at a time (the single-long-row branch).
+        from trident import _fast
+
+        monkeypatch.setattr(_fast, "WEDGE_BUDGET", 3)
+        rng = random.Random(96)
+        split = long = 0
+        for _ in range(10):
+            out_deg = self.listings_agree(
+                monkeypatch, random_graph(rng, rng.randrange(20, 40), 0.4), [])
+            split += (out_deg == 3).sum() > 1
+            long += (out_deg > 3).any()
+        assert split and long
