@@ -42,7 +42,7 @@ class BoundParams:
 def _gls(n: int, d: int, t: int) -> int:
     """Bound value, accepting n = 0 (internal use in peel accounting)."""
     q, r = divmod(n, d + 1)
-    return q * binomial(d + 1, t) + binomial(r, t)
+    return q * math.comb(d + 1, t) + math.comb(r, t)
 
 
 def gls_bound(n: int, d: int, t: int = 3) -> tuple[BoundParams, int]:

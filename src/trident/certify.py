@@ -116,7 +116,7 @@ def select_vertex(g: Graph) -> int:
     """
     if g.n == 0:
         raise EmptyGraph("cannot select a vertex from an empty graph")
-    return _argmin_slack(g, meeting_counts(g))
+    return _argmin_slack(g, meeting_counts(g), _step_bounds(max_degree(g)))
 
 
 def peel(g: Graph, d: int) -> PeelCertificate:
@@ -127,6 +127,7 @@ def peel(g: Graph, d: int) -> PeelCertificate:
     if max_degree(g) > d:
         raise DegreeExceeded(f"max degree {max_degree(g)} exceeds declared cap {d}")
     params, bound = gls_bound(g.n, d, 3)
+    step_bound = _step_bounds(d)
 
     steps: list[PeelStep] = []
     total = 0
@@ -134,13 +135,13 @@ def peel(g: Graph, d: int) -> PeelCertificate:
     orig = list(range(g.n))
     while cur.n:
         counts = meeting_counts(cur)
-        v = _argmin_slack(cur, counts)
+        v = _argmin_slack(cur, counts, step_bound)
         dv = cur.degrees[v]
         tri = counts[v]
-        if tri > binomial(dv + 1, 3):
+        if tri > step_bound[dv]:
             raise IdentityViolation(f"selected vertex {v} exceeds its step bound")
         # telescoping step of the induction: one deletion cannot overshoot
-        if binomial(dv + 1, 3) + _gls(cur.n - dv - 1, d, 3) > _gls(cur.n, d, 3):
+        if step_bound[dv] + _gls(cur.n - dv - 1, d, 3) > _gls(cur.n, d, 3):
             raise IdentityViolation(f"deleting N[{v}] overshoots the bound telescoping")
         nxt, kept = delete_vertices(cur, closed_neighborhood(cur, v))
         steps.append(
@@ -169,8 +170,12 @@ def peel(g: Graph, d: int) -> PeelCertificate:
     )
 
 
-def _argmin_slack(g: Graph, counts: list[int]) -> int:
-    step_bound = [binomial(k + 1, 3) for k in range(max(g.degrees) + 1)]  # by degree
+def _step_bounds(d: int) -> list[int]:
+    """C(k+1, 3), the step bound of a vertex of degree k, for every k <= d."""
+    return [(k + 1) * k * (k - 1) // 6 for k in range(d + 1)]
+
+
+def _argmin_slack(g: Graph, counts: list[int], step_bound: list[int]) -> int:
     slack, _, v = min((c - step_bound[k], k, v)
                       for v, (c, k) in enumerate(zip(counts, g.degrees)))
     if slack > 0:

@@ -222,8 +222,8 @@ def _block_table(n: int, b: int, t: int):
     ``plan[i]`` is (number of the smaller set, the added vertex, t - |Q|)
     for the Q numbered b + i.  ``table`` lists every subset S of the
     block's C(b, 2) slots in the search's skip-before-take order, as
-    (degree increment per block vertex, S's slot bits, S's neighbor mask
-    per block vertex, numbers of the Q that S makes complete).
+    (degree increment per block vertex, S's slot bits, numbers of the Q
+    that S makes complete).
     """
     first = n - b
     number = {(v,): v - first for v in range(first, n)}
@@ -246,11 +246,11 @@ def _block_table(n: int, b: int, t: int):
                 bits |= 1 << (base + p)
         complete = tuple(i for q, i in number.items() if len(q) >= 2
                          and all((nbrs[x - first] >> y) & 1 for x, y in combinations(q, 2)))
-        table.append((tuple(nb.bit_count() for nb in nbrs), bits, tuple(nbrs), complete))
+        table.append((tuple(nb.bit_count() for nb in nbrs), bits, complete))
     return plan, table
 
 
-def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None):
+def _search_subtree(n, d, t, prefix_bits, prefix_len):
     """Enumerate all completions of a fixed prefix of edge-slot decisions.
 
     Returns (graphs_enumerated, best_count, extremal_edge_masks).  The
@@ -286,10 +286,10 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None):
     below = (1 << prefix_len) - 1  # the slots the prefix decides
     must_take, must_skip = prefix_bits & below, ~prefix_bits & below
 
-    def complete(key, cnt):
+    def complete(key):
         """(feasible completions, best gain, slot bits of the best ones in order)."""
         feasible, top, tops = 0, -1, []
-        for incs, bits, nbrs, qs in table:
+        for incs, bits, qs in table:
             if any(inc > c for inc, c in zip(incs, key)):
                 continue
             feasible += 1
@@ -298,12 +298,6 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None):
                 top, tops = gain, [bits]
             elif gain == top:
                 tops.append(bits)
-            if leaf_hook is not None:
-                for v, nb in zip(block, nbrs):
-                    adj[v] |= nb
-                leaf_hook(adj, cnt + gain)
-                for v, nb in zip(block, nbrs):
-                    adj[v] ^= nb
         return feasible, top, tops
 
     def finish(edge_mask, cnt):
@@ -316,13 +310,10 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len, leaf_hook=None):
             m = common[i] & adj[v]
             common.append(m)
             key.append(1 if k == 0 else m.bit_count() if k == 1 else _cliques_in_mask(adj, m, k))
-        if leaf_hook is not None:
-            entry = complete(key, cnt)
-        else:
-            key = tuple(key)
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = complete(key, cnt)
+        key = tuple(key)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = complete(key)
         feasible, gain, tops = entry
         graphs += feasible
         total = cnt + gain
@@ -375,23 +366,16 @@ def _predicted_forms(n: int, d: int, r: int) -> list[bytes]:
     return sorted(forms)
 
 
-def enumerate_and_verify(
-    n: int,
-    d: int,
-    t: int = 3,
-    jobs: int = 1,
-    leaf_hook=None,
-) -> EnumerationReport:
+def enumerate_and_verify(n: int, d: int, t: int = 3, jobs: int = 1) -> EnumerationReport:
     """Visit every labeled graph on n vertices with max degree <= d.
 
-    Records the maximum t-clique count, the canonical forms of the
-    extremal graphs, and compares them with the predicted disjoint-clique
-    forms.  ``leaf_hook(adj, count)`` is called per visited graph when
-    given; worker processes cannot call it, so it needs ``jobs=1``.
+    Records the number of such graphs, the maximum t-clique count and the
+    canonical forms of the extremal graphs (the empty graph's alone when
+    no graph has a t-clique), and compares them with the predicted
+    disjoint-clique forms.  With ``jobs > 1`` the search tree is split by
+    its first slots over that many worker processes; the report is the same.
     """
     n, jobs = check_int(n, "vertex count", 1), check_int(jobs, "jobs", 1)
-    if leaf_hook is not None and jobs > 1:
-        raise InvalidArgument(f"leaf_hook needs jobs=1, got jobs={jobs}")
     limit = exhaustive_limit()
     if n > limit:
         raise ExhaustiveLimitExceeded(f"n={n} exceeds exhaustive limit {limit}")
@@ -400,7 +384,7 @@ def enumerate_and_verify(
 
     # One subtree per prefix of the first ``depth`` slots; one job searches the whole tree.
     depth = 0 if jobs == 1 else min(n * (n - 1) // 2, (4 * jobs - 1).bit_length())
-    tasks = [(n, d, t, bits, depth, leaf_hook) for bits in range(1 << depth)]
+    tasks = [(n, d, t, bits, depth) for bits in range(1 << depth)]
     if len(tasks) == 1:
         results = [_subtree_worker(tasks[0])]
     else:
@@ -418,17 +402,12 @@ def enumerate_and_verify(
     forms = sorted({canonical_form(graph_from_slot_mask(n, mk)) for mk in masks or [0]})
     violation = best > bound
 
-    if t != 3 or bound == 0 or graphs == 0:
-        # the structural prediction concerns triangles and is vacuous at bound 0
-        verdict = "not-applicable"
-        matches = True
-    else:
-        predicted = _predicted_forms(n, d, params.r)
-        matches = forms == predicted
-        if params.r >= 3 or len(predicted) == 1:
-            verdict = "unique-as-predicted" if matches and len(forms) == 1 else "multiple-extremal"
-        else:
-            verdict = "multiple-extremal"
+    # The structural prediction concerns triangles and is vacuous at bound 0.
+    # It has two forms exactly when r = 2, so then the verdict is multiple.
+    matches, verdict = True, "not-applicable"
+    if t == 3 and bound > 0:
+        matches = forms == _predicted_forms(n, d, params.r)
+        verdict = "unique-as-predicted" if matches and len(forms) == 1 else "multiple-extremal"
 
     return EnumerationReport(
         n=n,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -106,6 +107,19 @@ class TestPeel:
         g = random_bounded_graph(40, 5, 7)
         a, b = peel(g, 5), peel(g, 5)
         assert a.to_json() == b.to_json()
+
+    def test_certificates_byte_identical(self):
+        # One SHA-256 over the certificates of every graph on 1-5 vertices,
+        # 200 seeded random graphs with n <= 64 and build_extremal(100, 7),
+        # pinned while peel read its step bounds from the public binomial.
+        rng = random.Random(0)
+        graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+        graphs += [random_bounded_graph(rng.randint(1, 64), rng.randint(1, 8), seed)
+                   for seed in range(200)]
+        graphs.append(build_extremal(100, 7))
+        digest = hashlib.sha256(b"".join(peel(g, max(1, max_degree(g))).to_json().encode() + b"\n"
+                                         for g in graphs))
+        assert digest.hexdigest() == "7fd6c7005664a60213b127211a0b6b3334d5f135376bace18bc6d3eaae3fe234"
 
 
 class TestVerify:

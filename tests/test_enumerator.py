@@ -25,7 +25,7 @@ from trident import (
 )
 from trident.enumerator import _cliques_in_mask, _search_subtree, exhaustive_limit
 from trident.errors import ExhaustiveLimitExceeded, InvalidArgument, TooLargeForCanonicalization
-from conftest import complete_graph
+from conftest import all_graphs, complete_graph
 
 
 class TestBuildExtremal:
@@ -247,43 +247,17 @@ class TestEnumerate:
             assert serial.to_dict() == parallel.to_dict()
         assert parallel.extremal_graphs == ["D??"]
 
-    def test_leaf_hook_piggyback(self):
-        # Lemma checks on every enumerated graph of a small cell
-        from trident import full_report, meeting_counts, binomial, build_graph as bg
-        seen = 0
-
-        def hook(adj, cnt):
-            nonlocal seen
-            seen += 1
-            g = bg(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
-                       if (adj[u] >> v) & 1])
-            rep = full_report(g)
-            assert rep.omega_count + rep.w_count == rep.degree_cube_sum
-            slacks = [rep.per_vertex_meeting[v] - binomial(g.degrees[v] + 1, 3)
-                      for v in range(5)]
-            assert min(slacks) <= 0
-
-        rep = enumerate_and_verify(5, 3, 3, leaf_hook=hook)
-        assert seen == rep.graphs_enumerated
-
-    def test_hook_sees_every_graph(self):
-        for t in (3, 4):
-            seen = []
-
-            def hook(adj, cnt):
-                g = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
-                                    if (adj[u] >> v) & 1])
-                assert max_degree(g) <= 3
-                assert cnt == count_cliques(g, t)
-                seen.append(g.edge_list())
-
-            rep = enumerate_and_verify(5, 3, t, leaf_hook=hook)
-            assert len(seen) == len(set(map(tuple, seen))) == rep.graphs_enumerated
-
-    def test_leaf_hook_needs_one_job(self):
-        # Worker processes cannot call the hook; it is refused, not dropped.
-        with pytest.raises(InvalidArgument, match="leaf_hook needs jobs=1"):
-            enumerate_and_verify(4, 3, 3, jobs=2, leaf_hook=lambda adj, cnt: None)
+    @pytest.mark.parametrize("t", [3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_report_matches_brute_force(self, d, t):
+        # every labeled graph on 5 vertices, filtered and counted directly
+        counted = [(g, count_cliques(g, t)) for g in all_graphs(5) if max_degree(g) <= d]
+        best = max(c for _, c in counted)
+        extremal = [g for g, c in counted if c == best] if best else [build_graph(5, [])]
+        rep = enumerate_and_verify(5, d, t)
+        assert rep.graphs_enumerated == len(counted)
+        assert rep.max_cliques_found == best
+        assert rep.extremal_graphs == sorted({canonical_form(g).decode() for g in extremal})
 
     @pytest.mark.parametrize("jobs", [0, -3, True, False, 2.5, 1.0, "2", None])
     def test_bad_jobs_rejected(self, jobs):

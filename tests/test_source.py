@@ -16,3 +16,19 @@ def test_no_bare_assert():
                   if isinstance(node, ast.Assert)]
     assert len(list(SOURCE.rglob("*.py"))) > 5
     assert not found, found
+
+
+def test_public_names_pinned():
+    # Dropping a public name is an API change: edit this list and argue
+    # for the removal in CHANGES.md.
+    assert sorted(trident.__all__) == [
+        "BoundParams", "CountsReport", "EnumerationReport", "Graph", "PeelCertificate",
+        "PeelStep", "VerifyResult", "binomial", "build_extremal", "build_graph",
+        "canonical_form", "closed_neighborhood", "complement", "complement_identity_check",
+        "count_cliques", "count_triangles", "count_w", "delete_vertices",
+        "enumerate_and_verify", "full_report", "gls_bound", "graph_hash", "load_graph",
+        "max_degree", "meeting_counts", "merge_bound", "peel", "random_bounded_graph",
+        "read_edge_list", "read_graph6", "save_graph", "select_vertex",
+        "shift_inequality_check", "triangles_meeting", "verify_certificate",
+        "write_edge_list", "write_graph6",
+    ]
