@@ -4,7 +4,13 @@ Edge-list format: ASCII text whose first non-comment line is "n m",
 followed by m lines "u v" with 0-based endpoints; blank lines and lines
 starting with '#' are ignored.  Lines and tokens are split as
 ``str.splitlines`` and ``str.split`` split them, and tokens are read as
-``int()`` reads them.  Both directions work on the text as one uint8 array.
+``int()`` reads them.
+
+The writer formats the sorted edges with numpy, a run of CSR rows at a
+time, into the bytes that ``graph_hash`` digests and ``save_graph`` writes.
+The reader takes a file's bytes as they are.  Text in exactly the writer's
+form is parsed by ``np.fromstring`` in blocks of a few MB; all other text
+goes to a general parser over one uint8 array, which gives every error.
 
 graph6 follows the standard McKay encoding (upper triangle, column-major,
 6 bits per printable character); the only accepted header is the optional
@@ -22,42 +28,57 @@ from .errors import FormatError
 from .graph import Graph, build_graph
 
 G6_HEADER = ">>graph6<<"
+# Bytes of text the strict edge-list reader parses at a time; the writer
+# formats _BLOCK_BYTES // 8 int64 CSR entries at a time.
+_BLOCK_BYTES = 1 << 22
 
 
-def _edge_list_bytes(g: Graph) -> bytes:
-    """The edge-list text as ASCII bytes: "n m", then "u v" per sorted edge.
+def _edge_list_blocks(g: Graph):
+    """The edge-list text as ASCII byte blocks: "n m", then "u v" per sorted edge.
 
-    Each endpoint goes into a field of ``width`` uint8 cells and its
-    separator, one digit place at a time from the right; dropping the
-    leading zeros leaves the text of every line in row order."""
-    edges = g.edge_array()
-    width = len(str(int(edges.max()))) if edges.size else 1
-    cells = np.empty((len(edges), 2, width + 1), np.uint8)
-    keep = np.ones(cells.shape, bool)
-    cells[:, :, width] = [ord(" "), ord("\n")]
-    rest = edges
-    for place in range(width - 1, -1, -1):
-        rest, cells[:, :, place] = np.divmod(rest, 10)
-        if place:
-            keep[:, :, place - 1] = rest > 0  # else a leading zero
-    cells[:, :, :width] += ord("0")
-    return f"{g.n} {g.m}\n".encode("ascii") + cells[keep].tobytes()
+    The edges u < v come from runs of CSR rows of at most _BLOCK_BYTES // 8
+    entries, or from one longer row.  Each endpoint goes into a field of
+    ``width`` uint8 cells and its separator, one digit place at a time from
+    the right; dropping the leading zeros leaves the text of every line in
+    row order."""
+    yield f"{g.n} {g.m}\n".encode("ascii")
+    indptr, step = g._indptr, max(_BLOCK_BYTES // 8, 1)
+    lo, end = 0, int(indptr[-1])
+    while indptr[lo] < end:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + step, "right")) - 1)
+        ptr = indptr[lo:hi + 1]
+        heads = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(ptr))
+        tails = g._indices[ptr[0]:ptr[-1]]
+        up = heads < tails
+        edges = np.stack([heads[up], tails[up]], axis=1)
+        width = len(str(int(edges.max()))) if edges.size else 1
+        cells = np.empty((len(edges), 2, width + 1), np.uint8)
+        keep = np.ones(cells.shape, bool)
+        cells[:, :, width] = [ord(" "), ord("\n")]
+        rest = edges
+        for place in range(width - 1, -1, -1):
+            rest, cells[:, :, place] = np.divmod(rest, 10)
+            if place:
+                keep[:, :, place - 1] = rest > 0  # else a leading zero
+        cells[:, :, :width] += ord("0")
+        yield cells[keep].tobytes()
+        lo = hi
 
 
 def write_edge_list(g: Graph) -> str:
-    return _edge_list_bytes(g).decode("ascii")
+    return b"".join(_edge_list_blocks(g)).decode("ascii")
 
 
-def _line_at(text: str, breaks: np.ndarray, pos: int) -> str:
-    """The stripped line of ``text`` that holds offset ``pos``."""
+def _line_at(raw: bytes, breaks: np.ndarray, pos: int) -> str:
+    """The stripped line of ``raw`` that holds offset ``pos``."""
     i = int(np.searchsorted(breaks, pos))
     lo = int(breaks[i - 1]) + 1 if i else 0
-    hi = int(breaks[i]) if i < len(breaks) else len(text)
-    return text[lo:hi].strip()
+    hi = int(breaks[i]) if i < len(breaks) else len(raw)
+    return raw[lo:hi].decode("ascii").strip()
 
 
-def _token_values(text: str, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """``int()`` of each token ``text[starts[k]:ends[k]]``.
+def _token_values(raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``int()`` of each token ``raw[starts[k]:ends[k]]``.
 
     Returns (values, bad): int64 values, or a list when one leaves int64,
     and the mask of the tokens ``int()`` refuses.  Plain tokens,
@@ -79,7 +100,7 @@ def _token_values(text: str, data: np.ndarray, starts: np.ndarray, ends: np.ndar
     big = {}
     for k in np.flatnonzero((top > 9) | (digits < 1) | (digits > 18)).tolist():
         try:
-            v = int(text[starts[k]:ends[k]])
+            v = int(raw[starts[k]:ends[k]])
         except ValueError:
             bad[k] = True
             continue
@@ -94,16 +115,54 @@ def _token_values(text: str, data: np.ndarray, starts: np.ndarray, ends: np.ndar
     return values, bad
 
 
-def read_edge_list(text: str) -> Graph:
-    """Parse edge-list text: ASCII only, lines split and stripped as
-    ``str.splitlines`` and ``str.split`` do, blank and ``#`` lines skipped.
+def _strict_edge_list(raw: bytes) -> tuple[int, np.ndarray] | None:
+    """(n, edges) of ``raw`` when it is text of exactly the form the writer
+    writes, else None.
 
-    The text is read as one uint8 array: token bounds come from the
-    whitespace mask, each line's first token from the line breaks."""
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError as e:
-        raise FormatError(f"non-ASCII character at offset {e.start} of the edge list") from None
+    That text holds only digits, ' ' and '\\n', every line is
+    "<1-18 digits> <1-18 digits>\\n", and the header's m counts the lines
+    after it.  The lines are read in blocks of about _BLOCK_BYTES, each cut
+    after a line break, into one preallocated (m, 2) array.  Text-mode
+    ``np.fromstring`` reads a block's values; as it may stop quietly at a
+    token it cannot read, their count must equal the block's separators."""
+    if not raw.endswith(b"\n"):
+        return None
+    start = raw.find(b"\n") + 1
+    header = raw[:start - 1].split(b" ")
+    if len(header) != 2 or not all(t.isdigit() and len(t) <= 18 for t in header):
+        return None
+    n, m = map(int, header)
+    if raw.count(b"\n", start) != m:
+        return None
+    edges = np.empty((m, 2), np.int64)
+    values, done = edges.reshape(-1), 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(raw)
+        block = raw[start:end]
+        data = np.frombuffer(block, np.uint8)
+        seps = np.flatnonzero(data < ord("0"))  # ' ', '\n' and any other byte below '0'
+        gaps = np.diff(seps, prepend=-1)  # token length + 1
+        if (data.max() > ord("9") or len(seps) % 2 or gaps.min() < 2 or gaps.max() > 19
+                or (data[seps[0::2]] != ord(" ")).any() or (data[seps[1::2]] != ord("\n")).any()):
+            return None
+        part = np.fromstring(block, np.int64, sep=" ")
+        if len(part) != len(seps):
+            return None
+        values[done:done + len(part)] = part
+        done += len(part)
+        start = end
+    return n, edges
+
+
+def _read_edge_list(raw: bytes) -> Graph:
+    """Parse ASCII edge-list bytes: by ``_strict_edge_list`` when it accepts
+    them, else one token at a time.
+
+    The general path reads the text as one uint8 array: token bounds come
+    from the whitespace mask, each line's first token from the line breaks."""
+    strict = _strict_edge_list(raw)
+    if strict is not None:
+        return build_graph(*strict)
     data = np.frombuffer(raw, np.uint8)
     # ASCII whitespace is 9-13 and 28-32; line breaks are 10-13 and 28-30.
     space = np.ones(len(data) + 2, bool)  # a separator on either side
@@ -122,11 +181,11 @@ def read_edge_list(text: str) -> Graph:
     heads, sizes = heads[keep], sizes[keep]
     if not len(heads):
         raise FormatError("empty edge-list file")
-    header = _line_at(text, breaks, starts[heads[0]])
+    header = _line_at(raw, breaks, starts[heads[0]])
     if sizes[0] != 2:
         raise FormatError(f"expected header 'n m', got {header!r}")
     pair = slice(heads[0], heads[0] + 2)
-    values, bad = _token_values(text, data, starts[pair], ends[pair])
+    values, bad = _token_values(raw, data, starts[pair], ends[pair])
     if bad.any():
         raise FormatError(f"non-integer header {header!r}")
     n, m = map(int, values)
@@ -136,15 +195,25 @@ def read_edge_list(text: str) -> Graph:
     shape = np.flatnonzero(sizes != 2)
     rows = heads[:shape[0]] if len(shape) else heads  # the two-token lines before any other
     tokens = np.stack([rows, rows + 1], axis=1).ravel()
-    values, bad = _token_values(text, data, starts[tokens], ends[tokens])
+    values, bad = _token_values(raw, data, starts[tokens], ends[tokens])
     if bad.any():
         pos = starts[tokens[np.argmax(bad)]]
-        raise FormatError(f"non-integer edge line {_line_at(text, breaks, pos)!r}")
+        raise FormatError(f"non-integer edge line {_line_at(raw, breaks, pos)!r}")
     if len(shape):
-        raise FormatError(f"bad edge line {_line_at(text, breaks, starts[heads[shape[0]]])!r}")
+        raise FormatError(f"bad edge line {_line_at(raw, breaks, starts[heads[shape[0]]])!r}")
     if isinstance(values, list):  # an endpoint outside int64: build_graph names it
         return build_graph(n, zip(values[0::2], values[1::2]))
     return build_graph(n, values.reshape(-1, 2))
+
+
+def read_edge_list(text: str) -> Graph:
+    """Parse edge-list text: ASCII only, lines split and stripped as
+    ``str.splitlines`` and ``str.split`` do, blank and ``#`` lines skipped."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise FormatError(f"non-ASCII character at offset {e.start} of the edge list") from None
+    return _read_edge_list(raw)
 
 
 # -- graph6 ---------------------------------------------------------------
@@ -229,7 +298,10 @@ def read_graph6(line: str) -> Graph:
 
 def graph_hash(g: Graph, algorithm: str = "sha256") -> str:
     """Digest of the sorted edge list, the canonical text certificates hash."""
-    return hashlib.new(algorithm, _edge_list_bytes(g)).hexdigest()
+    digest = hashlib.new(algorithm)
+    for block in _edge_list_blocks(g):
+        digest.update(block)
+    return digest.hexdigest()
 
 
 # -- file loading ---------------------------------------------------------
@@ -248,13 +320,13 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
     """Load a graph file; format from ``fmt`` or inferred from the extension."""
     path = Path(path)
     fmt = _format(path, fmt)
-    try:
-        text = path.read_bytes().decode("ascii")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"non-ASCII byte at offset {e.start} of {path}") from None
+    data = path.read_bytes()
+    if not data.isascii():
+        offset = int(np.argmax(np.frombuffer(data, np.uint8) > 127))
+        raise FormatError(f"non-ASCII byte at offset {offset} of {path}")
     if fmt == "el":
-        return read_edge_list(text)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        return _read_edge_list(data)
+    lines = [ln for ln in data.decode("ascii").splitlines() if ln.strip()]
     if len(lines) != 1:
         raise FormatError(f"expected a single graph6 line in {path}")
     return read_graph6(lines[0])
@@ -265,4 +337,5 @@ def save_graph(g: Graph, path: str | Path, fmt: str | None = None) -> None:
     if _format(path, fmt) == "g6":
         path.write_text(write_graph6(g) + "\n")
     else:
-        path.write_bytes(_edge_list_bytes(g))
+        with path.open("wb") as f:
+            f.writelines(_edge_list_blocks(g))

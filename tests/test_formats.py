@@ -1,12 +1,16 @@
 import hashlib
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trident import (
     build_graph,
+    formats,
     graph_hash,
     load_graph,
     random_bounded_graph,
@@ -216,6 +220,134 @@ class TestEdgeListCodec:
         assert write_edge_list(build_graph(0, [])) == "0 0\n"
 
 
+@contextmanager
+def strict_spy():
+    """Record, per call, whether ``formats._strict_edge_list`` accepted its bytes."""
+    accepted, real = [], formats._strict_edge_list
+
+    def spy(raw):
+        parsed = real(raw)
+        accepted.append(parsed is not None)
+        return parsed
+
+    with mock.patch.object(formats, "_strict_edge_list", spy):
+        yield accepted
+
+
+def general_outcome(text):
+    """The outcome of the reader with its strict path switched off."""
+    with mock.patch.object(formats, "_strict_edge_list", lambda raw: None):
+        return outcome(read_edge_list, text)
+
+
+def strict_outcome(text):
+    """The outcome of the strict path alone; None when it refuses the text."""
+    parsed = formats._strict_edge_list(text.encode("ascii"))
+    return None if parsed is None else outcome(lambda _: build_graph(*parsed), text)
+
+
+@st.composite
+def trident_lines(draw):
+    """Token pairs of a header and 1-8 edge lines in the writer's form."""
+    n = draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=8))
+    return [[str(n), str(len(edges))]] + [[str(u), str(v)] for u, v in edges]
+
+
+def _join(lines, ends=None):
+    ends = ends or ["\n"] * len(lines)
+    return "".join(" ".join(tokens) + end for tokens, end in zip(lines, ends))
+
+
+def _with_token(lines, i, j, token):
+    lines = [list(tokens) for tokens in lines]
+    lines[i][j] = token
+    return _join(lines)
+
+
+def _with_end(lines, i, end):
+    ends = ["\n"] * len(lines)
+    ends[i] = end
+    return _join(lines, ends)
+
+
+# One mutation of a writer-form text each: whether the strict path accepts
+# the result, and how to make it from the lines, a line index i, a token
+# index j and hypothesis' draw.  The last line is an edge line.
+MUTATIONS = {
+    "none": (True, lambda ls, i, j, draw: _join(ls)),
+    "tab": (False, lambda ls, i, j, draw: _join(ls[:i] + [["\t".join(ls[i])]] + ls[i + 1:])),
+    "cr": (False, lambda ls, i, j, draw: _with_end(ls, i, "\r")),
+    "crlf": (False, lambda ls, i, j, draw: _with_end(ls, i, "\r\n")),
+    "leading space": (False, lambda ls, i, j, draw: _with_token(ls, i, 0, " " + ls[i][0])),
+    "trailing space": (False, lambda ls, i, j, draw: _with_end(ls, i, " \n")),
+    "no final newline": (False, lambda ls, i, j, draw: _join(ls)[:-1]),
+    "blank line": (False, lambda ls, i, j, draw: _join(ls[:i] + [[]] + ls[i:])),
+    "comment line": (False, lambda ls, i, j, draw: _join(ls[:i] + [["#", "c"]] + ls[i:])),
+    "sign": (False, lambda ls, i, j, draw: _with_token(ls, i, j, draw(st.sampled_from("+-")) + ls[i][j])),
+    "19 digits": (False, lambda ls, i, j, draw: _with_token(
+        ls, i, j, draw(st.one_of(st.just(ls[i][j].zfill(19)), st.integers(10**18, 10**19 - 1).map(str))))),
+    "leading zeros": (True, lambda ls, i, j, draw: _with_token(
+        ls, i, j, ls[i][j].zfill(draw(st.integers(2, 18))))),
+    "m off by one": (False, lambda ls, i, j, draw: _with_token(
+        ls, 0, 1, str(int(ls[0][1]) + draw(st.sampled_from([-1, 1]))))),
+    "self-loop": (True, lambda ls, i, j, draw: _with_token(ls, -1, 1 - j, ls[-1][j])),
+    "endpoint >= n": (True, lambda ls, i, j, draw: _with_token(
+        ls, -1, j, str(int(ls[0][0]) + draw(st.integers(0, 10**17))))),
+}
+
+
+class TestStrictEdgeList:
+    """The strict path against the general path and the reference reader."""
+
+    def test_writer_output_takes_strict_path(self):
+        for g in sparse_and_small_graphs():
+            text = write_edge_list(g)
+            with strict_spy() as accepted:
+                result = outcome(read_edge_list, text)
+            assert accepted == [True]
+            assert result == strict_outcome(text) == general_outcome(text) == (g.n, g.edge_list())
+            assert result == outcome(reference_read_edge_list, text)
+
+    @pytest.mark.parametrize("name", list(MUTATIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(lines=trident_lines(), data=st.data())
+    def test_one_mutation(self, name, lines, data):
+        strict, mutate = MUTATIONS[name]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, 1))
+        text = mutate(lines, i, j, data.draw)
+        with strict_spy() as accepted:
+            result = outcome(read_edge_list, text)
+        assert accepted == [strict]
+        assert result == outcome(reference_read_edge_list, text)
+        if strict:
+            assert strict_outcome(text) == general_outcome(text) == result
+        else:
+            assert strict_outcome(text) is None
+
+    @pytest.mark.parametrize("block", [1, 5, 16])
+    def test_blocks_cut_inside_lines(self, monkeypatch, tmp_path, block):
+        rng = random.Random(5)
+        graphs = [random_bounded_graph(rng.randrange(1, 65), rng.randrange(1, 17), rng.randrange(2**31))
+                  for _ in range(20)]
+        graphs += [random_bounded_graph(300, 7, 1), build_graph(0, []), build_graph(5, []),
+                   build_graph(10**6, [(0, 9), (9, 10), (99, 100), (0, 999_999), (123_456, 654_321)])]
+        texts = [write_edge_list(g) for g in graphs]
+        monkeypatch.setattr(formats, "_BLOCK_BYTES", block)
+        for g, text in zip(graphs, texts):
+            assert write_edge_list(g) == text
+            assert graph_hash(g) == hashlib.sha256(text.encode("ascii")).hexdigest()
+            save_graph(g, tmp_path / "g.el")
+            assert (tmp_path / "g.el").read_text() == text
+            with strict_spy() as accepted:
+                h = load_graph(tmp_path / "g.el")
+            assert accepted == [True]
+            assert np.array_equal(h._indptr, g._indptr) and np.array_equal(h._indices, g._indices)
+
+
 class TestGraph6:
     def test_round_trip_small(self):
         rng = random.Random(2)
@@ -300,6 +432,14 @@ class TestFiles:
         assert load_graph(tmp_path / "g.g6") == g
         assert load_graph(tmp_path / "g.el") == g
         assert load_graph(tmp_path / "g.el", fmt="el") == g
+
+    @pytest.mark.parametrize("name", ["g.el", "g.g6"])
+    def test_non_ascii_byte_rejected(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"3 1\n0 1\n# caf\xc3\xa9\n")
+        with pytest.raises(FormatError) as info:
+            load_graph(path)
+        assert str(info.value) == f"non-ASCII byte at offset 13 of {path}"
 
     def test_format_override(self, tmp_path):
         g = complete_graph(3)
