@@ -8,9 +8,11 @@ starting with '#' are ignored.  Lines and tokens are split as
 
 The writer formats the sorted edges with numpy, a run of CSR rows at a
 time, into the bytes that ``graph_hash`` digests and ``save_graph`` writes.
-The reader takes a file's bytes as they are.  Text in exactly the writer's
-form is parsed by ``np.fromstring`` in blocks of a few MB; all other text
-goes to a general parser over one uint8 array, which gives every error.
+The reader takes a file's bytes as they are.  Text in the writer's form,
+also with CRLF line ends or a tab between the two tokens, is parsed by
+``np.fromstring`` in blocks of a few MB; all other text is read one line
+at a time with ``str.splitlines``, ``str.split`` and ``int()``, which
+gives every error.
 
 graph6 follows the standard McKay encoding (upper triangle, column-major,
 6 bits per printable character); the only accepted header is the optional
@@ -42,15 +44,7 @@ def _edge_list_blocks(g: Graph):
     the right; dropping the leading zeros leaves the text of every line in
     row order."""
     yield f"{g.n} {g.m}\n".encode("ascii")
-    indptr, step = g._indptr, max(_BLOCK_BYTES // 8, 1)
-    lo, end = 0, int(indptr[-1])
-    while indptr[lo] < end:
-        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + step, "right")) - 1)
-        ptr = indptr[lo:hi + 1]
-        heads = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(ptr))
-        tails = g._indices[ptr[0]:ptr[-1]]
-        up = heads < tails
-        edges = np.stack([heads[up], tails[up]], axis=1)
+    for edges in g._edge_runs(max(_BLOCK_BYTES // 8, 1)):
         width = len(str(int(edges.max()))) if edges.size else 1
         cells = np.empty((len(edges), 2, width + 1), np.uint8)
         keep = np.ones(cells.shape, bool)
@@ -62,73 +56,34 @@ def _edge_list_blocks(g: Graph):
                 keep[:, :, place - 1] = rest > 0  # else a leading zero
         cells[:, :, :width] += ord("0")
         yield cells[keep].tobytes()
-        lo = hi
 
 
 def write_edge_list(g: Graph) -> str:
     return b"".join(_edge_list_blocks(g)).decode("ascii")
 
 
-def _line_at(raw: bytes, breaks: np.ndarray, pos: int) -> str:
-    """The stripped line of ``raw`` that holds offset ``pos``."""
-    i = int(np.searchsorted(breaks, pos))
-    lo = int(breaks[i - 1]) + 1 if i else 0
-    hi = int(breaks[i]) if i < len(breaks) else len(raw)
-    return raw[lo:hi].decode("ascii").strip()
-
-
-def _token_values(raw: bytes, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """``int()`` of each token ``raw[starts[k]:ends[k]]``.
-
-    Returns (values, bad): int64 values, or a list when one leaves int64,
-    and the mask of the tokens ``int()`` refuses.  Plain tokens,
-    ``-?[0-9]{1,18}``, are read one digit place at a time from the end;
-    ``int()`` reads the rest (signs, underscores, long digit runs)."""
-    neg = data[starts] == ord("-")
-    digits = ends - starts - neg
-    values = np.zeros(len(starts), np.int64)
-    top = np.zeros(len(starts), np.uint8)  # the largest digit - '0', wrapped
-    at = ends.copy()
-    for place in range(min(int(digits.max(initial=0)), 18)):
-        at -= 1
-        d = data.take(at, mode="clip") - np.uint8(ord("0"))
-        d *= digits > place
-        np.maximum(top, d, out=top)
-        values += d.astype(np.int64) * 10**place
-    np.negative(values, out=values, where=neg)
-    bad = np.zeros(len(starts), bool)
-    big = {}
-    for k in np.flatnonzero((top > 9) | (digits < 1) | (digits > 18)).tolist():
-        try:
-            v = int(raw[starts[k]:ends[k]])
-        except ValueError:
-            bad[k] = True
-            continue
-        if -2**63 <= v < 2**63:
-            values[k] = v
-        else:
-            big[k] = v
-    if big:
-        values = values.tolist()
-        for k, v in big.items():
-            values[k] = v
-    return values, bad
+def _plain(text: bytes) -> bytes:
+    """``text`` with CRLF line ends as "\\n" and tabs as spaces."""
+    if b"\r" in text or b"\t" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\t", b" ")
+    return text
 
 
 def _strict_edge_list(raw: bytes) -> tuple[int, np.ndarray] | None:
-    """(n, edges) of ``raw`` when it is text of exactly the form the writer
-    writes, else None.
+    """(n, edges) of ``raw`` when it is text of the form the writer writes,
+    up to CRLF line ends and tab separators, else None.
 
-    That text holds only digits, ' ' and '\\n', every line is
-    "<1-18 digits> <1-18 digits>\\n", and the header's m counts the lines
-    after it.  The lines are read in blocks of about _BLOCK_BYTES, each cut
-    after a line break, into one preallocated (m, 2) array.  Text-mode
-    ``np.fromstring`` reads a block's values; as it may stop quietly at a
-    token it cannot read, their count must equal the block's separators."""
+    Once ``_plain`` has made CRLF "\\n" and tabs spaces, that text holds only
+    digits, ' ' and '\\n', every line is "<1-18 digits> <1-18 digits>\\n",
+    and the header's m counts the lines after it.  The lines are read in
+    blocks of about _BLOCK_BYTES, each cut after a line break, into one
+    preallocated (m, 2) array.  Text-mode ``np.fromstring`` reads a block's
+    values; as it may stop quietly at a token it cannot read, their count
+    must equal the block's separators."""
     if not raw.endswith(b"\n"):
         return None
     start = raw.find(b"\n") + 1
-    header = raw[:start - 1].split(b" ")
+    header = _plain(raw[:start])[:-1].split(b" ")
     if len(header) != 2 or not all(t.isdigit() and len(t) <= 18 for t in header):
         return None
     n, m = map(int, header)
@@ -138,7 +93,7 @@ def _strict_edge_list(raw: bytes) -> tuple[int, np.ndarray] | None:
     values, done = edges.reshape(-1), 0
     while start < len(raw):
         end = raw.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(raw)
-        block = raw[start:end]
+        block = _plain(raw[start:end])
         data = np.frombuffer(block, np.uint8)
         seps = np.flatnonzero(data < ord("0"))  # ' ', '\n' and any other byte below '0'
         gaps = np.diff(seps, prepend=-1)  # token length + 1
@@ -154,56 +109,43 @@ def _strict_edge_list(raw: bytes) -> tuple[int, np.ndarray] | None:
     return n, edges
 
 
-def _read_edge_list(raw: bytes) -> Graph:
-    """Parse ASCII edge-list bytes: by ``_strict_edge_list`` when it accepts
-    them, else one token at a time.
+def _read_edge_list(raw: bytes) -> tuple[int, np.ndarray | list]:
+    """(n, edges) of ASCII edge-list bytes: by ``_strict_edge_list`` when it
+    accepts them, else one line at a time.
 
-    The general path reads the text as one uint8 array: token bounds come
-    from the whitespace mask, each line's first token from the line breaks."""
+    The edges are an (m, 2) int64 array, or a list of pairs when an
+    endpoint leaves int64, so that ``build_graph`` names it."""
     strict = _strict_edge_list(raw)
     if strict is not None:
-        return build_graph(*strict)
-    data = np.frombuffer(raw, np.uint8)
-    # ASCII whitespace is 9-13 and 28-32; line breaks are 10-13 and 28-30.
-    space = np.ones(len(data) + 2, bool)  # a separator on either side
-    np.less(data - np.uint8(9), 5, out=space[1:-1])
-    space[1:-1] |= data - np.uint8(28) < 5
-    bounds = np.flatnonzero(space[1:] != space[:-1])
-    del space
-    starts, ends = bounds[0::2], bounds[1::2]
-    breaks = np.flatnonzero((data - np.uint8(10) < 4) | (data - np.uint8(28) < 3))
-    first = np.zeros(len(starts) + 1, bool)
-    first[np.searchsorted(starts, breaks)] = True
-    first[0] = True
-    heads = np.flatnonzero(first[:-1])  # first token of each non-blank line
-    sizes = np.diff(heads, append=len(starts))
-    keep = data[starts[heads]] != ord("#")
-    heads, sizes = heads[keep], sizes[keep]
-    if not len(heads):
+        return strict
+    lines = map(str.strip, raw.decode("ascii").splitlines())
+    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not rows:
         raise FormatError("empty edge-list file")
-    header = _line_at(raw, breaks, starts[heads[0]])
-    if sizes[0] != 2:
+    header = rows.pop(0)
+    head = header.split()
+    if len(head) != 2:
         raise FormatError(f"expected header 'n m', got {header!r}")
-    pair = slice(heads[0], heads[0] + 2)
-    values, bad = _token_values(raw, data, starts[pair], ends[pair])
-    if bad.any():
-        raise FormatError(f"non-integer header {header!r}")
-    n, m = map(int, values)
-    if len(heads) - 1 != m:
-        raise FormatError(f"header declares {m} edges, file has {len(heads) - 1}")
-    heads, sizes = heads[1:], sizes[1:]
-    shape = np.flatnonzero(sizes != 2)
-    rows = heads[:shape[0]] if len(shape) else heads  # the two-token lines before any other
-    tokens = np.stack([rows, rows + 1], axis=1).ravel()
-    values, bad = _token_values(raw, data, starts[tokens], ends[tokens])
-    if bad.any():
-        pos = starts[tokens[np.argmax(bad)]]
-        raise FormatError(f"non-integer edge line {_line_at(raw, breaks, pos)!r}")
-    if len(shape):
-        raise FormatError(f"bad edge line {_line_at(raw, breaks, starts[heads[shape[0]]])!r}")
-    if isinstance(values, list):  # an endpoint outside int64: build_graph names it
-        return build_graph(n, zip(values[0::2], values[1::2]))
-    return build_graph(n, values.reshape(-1, 2))
+    try:
+        n, m = map(int, head)
+    except ValueError:
+        raise FormatError(f"non-integer header {header!r}") from None
+    if len(rows) != m:
+        raise FormatError(f"header declares {m} edges, file has {len(rows)}")
+    values = []
+    for ln in rows:
+        pair = ln.split()
+        if len(pair) != 2:
+            raise FormatError(f"bad edge line {ln!r}")
+        try:
+            values += map(int, pair)
+        except ValueError:
+            raise FormatError(f"non-integer edge line {ln!r}") from None
+    del rows
+    try:
+        return n, np.array(values, np.int64).reshape(-1, 2)
+    except OverflowError:
+        return n, list(zip(values[0::2], values[1::2]))
 
 
 def read_edge_list(text: str) -> Graph:
@@ -213,7 +155,9 @@ def read_edge_list(text: str) -> Graph:
         raw = text.encode("ascii")
     except UnicodeEncodeError as e:
         raise FormatError(f"non-ASCII character at offset {e.start} of the edge list") from None
-    return _read_edge_list(raw)
+    n, edges = _read_edge_list(raw)
+    del raw  # not held through the build
+    return build_graph(n, edges)
 
 
 # -- graph6 ---------------------------------------------------------------
@@ -325,7 +269,9 @@ def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
         offset = int(np.argmax(np.frombuffer(data, np.uint8) > 127))
         raise FormatError(f"non-ASCII byte at offset {offset} of {path}")
     if fmt == "el":
-        return _read_edge_list(data)
+        n, edges = _read_edge_list(data)
+        del data  # not held through the build
+        return build_graph(n, edges)
     lines = [ln for ln in data.decode("ascii").splitlines() if ln.strip()]
     if len(lines) != 1:
         raise FormatError(f"expected a single graph6 line in {path}")

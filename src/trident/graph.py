@@ -104,9 +104,25 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) int64 array with u < v, lexicographically sorted."""
-        heads = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
-        up = heads < self._indices
-        return np.stack([heads[up], self._indices[up]], axis=1)
+        edges = np.empty((self.m, 2), np.int64)
+        at = 0
+        for run in self._edge_runs(1 << 19):
+            edges[at:at + len(run)] = run
+            at += len(run)
+        return edges
+
+    def _edge_runs(self, step: int):
+        """The edges u < v in order, as (k, 2) int64 arrays: one per run of
+        CSR rows of at most ``step`` entries, or of one longer row."""
+        indptr, end, lo = self._indptr, self._indices.size, 0
+        while indptr[lo] < end:
+            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + step, "right")) - 1)
+            ptr = indptr[lo:hi + 1]
+            heads = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(ptr))
+            tails = self._indices[ptr[0]:ptr[-1]]
+            up = heads < tails
+            yield np.stack([heads[up], tails[up]], axis=1)
+            lo = hi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

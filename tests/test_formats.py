@@ -278,9 +278,13 @@ def _with_end(lines, i, end):
 # index j and hypothesis' draw.  The last line is an edge line.
 MUTATIONS = {
     "none": (True, lambda ls, i, j, draw: _join(ls)),
-    "tab": (False, lambda ls, i, j, draw: _join(ls[:i] + [["\t".join(ls[i])]] + ls[i + 1:])),
+    "tab": (True, lambda ls, i, j, draw: _join(ls[:i] + [["\t".join(ls[i])]] + ls[i + 1:])),
+    "space and tab": (False, lambda ls, i, j, draw: _join(ls[:i] + [[" \t".join(ls[i])]] + ls[i + 1:])),
     "cr": (False, lambda ls, i, j, draw: _with_end(ls, i, "\r")),
-    "crlf": (False, lambda ls, i, j, draw: _with_end(ls, i, "\r\n")),
+    "cr inside a line": (False, lambda ls, i, j, draw: _with_token(ls, i, 1, ls[i][1] + "\r" + ls[i][1])),
+    "crlf": (True, lambda ls, i, j, draw: _with_end(ls, i, "\r\n")),
+    "crlf header, tab lines": (True, lambda ls, i, j, draw: _join(
+        ls[:1] + [["\t".join(tokens)] for tokens in ls[1:]], ["\r\n"] + ["\n"] * (len(ls) - 1))),
     "leading space": (False, lambda ls, i, j, draw: _with_token(ls, i, 0, " " + ls[i][0])),
     "trailing space": (False, lambda ls, i, j, draw: _with_end(ls, i, " \n")),
     "no final newline": (False, lambda ls, i, j, draw: _join(ls)[:-1]),
@@ -342,10 +346,13 @@ class TestStrictEdgeList:
             assert graph_hash(g) == hashlib.sha256(text.encode("ascii")).hexdigest()
             save_graph(g, tmp_path / "g.el")
             assert (tmp_path / "g.el").read_text() == text
-            with strict_spy() as accepted:
-                h = load_graph(tmp_path / "g.el")
-            assert accepted == [True]
-            assert np.array_equal(h._indptr, g._indptr) and np.array_equal(h._indices, g._indices)
+            # The CRLF copy's blocks must be cut after "\r\n", never inside it.
+            (tmp_path / "crlf-tab.el").write_bytes(text.replace("\n", "\r\n").replace(" ", "\t").encode())
+            for name in ("g.el", "crlf-tab.el"):
+                with strict_spy() as accepted:
+                    h = load_graph(tmp_path / name)
+                assert accepted == [True]
+                assert np.array_equal(h._indptr, g._indptr) and np.array_equal(h._indices, g._indices)
 
 
 class TestGraph6:
