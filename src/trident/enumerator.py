@@ -14,7 +14,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -150,9 +150,11 @@ def random_bounded_graph(n: int, d: int, seed: int) -> Graph:
 # -- canonical forms -------------------------------------------------------
 
 
-def _refine_colors(n: int, nbrs: list[list[int]]) -> list[int]:
+def _refine_colors(rows: list[int]) -> list[int]:
     """Iterated neighbor-multiset color refinement (label-invariant)."""
-    colors = [len(nbrs[v]) for v in range(n)]
+    n = len(rows)
+    nbrs = [list(_iter_bits(r)) for r in rows]
+    colors = [len(nb) for nb in nbrs]
     for _ in range(n):
         keys = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
         palette = {k: i for i, k in enumerate(sorted(set(keys)))}
@@ -168,29 +170,61 @@ def canonical_form(g: Graph) -> bytes:
 
     Exact isomorphism dedup: identical for isomorphic graphs, distinct
     otherwise, at the small scales the enumerator works at (n <= 10).
+
+    The string is the minimum of the graph6 bits over every vertex order
+    that lists the refined color classes in color order.  A depth-first
+    search fixes the order one position at a time, drawing each position
+    from its class; position j appends column j of the bits, its
+    adjacencies to positions 0..j-1.  Every order gives a string of the
+    same length, so a branch whose prefix already exceeds the best
+    string's is cut without changing the minimum (the search-tree
+    pruning of McKay's canonical labelling, without automorphism
+    pruning).  A candidate v is also skipped at a position where a twin u
+    was tried (their rows agree outside the pair): swapping u and v fixes
+    the placed prefix and the classes and maps edges to edges, so both
+    subtrees hold the same strings.
     """
     n = g.n
     if n > CANONICAL_LIMIT:
         raise TooLargeForCanonicalization(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
-    nbrs = [g.neighbors(v) for v in range(n)]
-    colors = _refine_colors(n, nbrs)
+    rows = g.neighbor_masks()
+    colors = _refine_colors(rows)
     classes: dict[int, list[int]] = {}
     for v in range(n):
         classes.setdefault(colors[v], []).append(v)
-    ordered_classes = [classes[c] for c in sorted(classes)]
+    pool: list[list[int]] = []  # the class that position j draws from
+    for c in sorted(classes):
+        pool += [classes[c]] * len(classes[c])
 
-    rows = g.neighbor_masks()
     nbits = n * (n - 1) // 2
-    best = None
-    for parts in product(*(permutations(cls) for cls in ordered_classes)):
-        order = [v for part in parts for v in part]
-        bits = 0
-        for j in range(1, n):
-            oj = order[j]
-            for i in range(j):
-                bits = (bits << 1) | ((rows[order[i]] >> oj) & 1)
-        if best is None or bits < best:
-            best = bits
+    best = (1 << nbits) - 1  # no string is larger
+    order: list[int] = []
+
+    def place(j, bits, used):
+        nonlocal best
+        if j == n:
+            best = bits  # the prefix test at the last column kept bits <= best
+            return
+        shift = nbits - j * (j + 1) // 2  # the bits still to come after column j
+        tried: list[int] = []
+        for v in pool[j]:
+            if (used >> v) & 1:
+                continue
+            rv = rows[v]
+            if any(rv & ~(1 << u) == rows[u] & ~(1 << v) for u in tried):
+                continue
+            tried.append(v)
+            col = 0
+            for u in order:
+                col = (col << 1) | ((rv >> u) & 1)
+            bits_v = (bits << j) | col
+            if bits_v > best >> shift:
+                continue
+            order.append(v)
+            place(j + 1, bits_v, used | (1 << v))
+            order.pop()
+
+    place(0, 0, 0)
     return g6_encode(n, [nbits - 1 - b for b in _iter_bits(best)])  # the first pair is the top bit
 
 

@@ -5,7 +5,7 @@ import re
 import sys
 import threading
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,8 @@ from trident import (
 )
 from trident.enumerator import _cliques_in_mask, _search_subtree, exhaustive_limit
 from trident.errors import ExhaustiveLimitExceeded, InvalidArgument, TooLargeForCanonicalization
-from conftest import all_graphs, complete_graph
+from trident.formats import g6_encode
+from conftest import all_graphs, complete_graph, petersen
 
 
 class TestBuildExtremal:
@@ -136,6 +137,55 @@ class TestRandomBounded:
         assert max_degree(g) <= 16
 
 
+def reference_canonical_form(g):
+    """The canonical form as every product of within-class permutations,
+    kept as the reference for ``canonical_form``'s pruned search."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    colors = [len(nbrs[v]) for v in range(n)]
+    for _ in range(n):
+        keys = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
+        palette = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [palette[k] for k in keys]
+        if new == colors:
+            break
+        colors = new
+    classes = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    ordered_classes = [classes[c] for c in sorted(classes)]
+    rows = g.neighbor_masks()
+    nbits = n * (n - 1) // 2
+    best = None
+    for parts in product(*(permutations(cls) for cls in ordered_classes)):
+        order = [v for part in parts for v in part]
+        bits = 0
+        for j in range(1, n):
+            oj = order[j]
+            for i in range(j):
+                bits = (bits << 1) | ((rows[order[i]] >> oj) & 1)
+        if best is None or bits < best:
+            best = bits
+    return g6_encode(n, [nbits - 1 - b for b in range(nbits) if (best >> b) & 1])
+
+
+def cycle_edges(k, first=0):
+    return [(first + i, first + (i + 1) % k) for i in range(k)]
+
+
+LIMIT_CASES = {
+    "petersen": petersen,
+    "C10": lambda: build_graph(10, cycle_edges(10)),
+    "prism": lambda: build_graph(10, cycle_edges(5) + cycle_edges(5, 5)
+                                 + [(i, i + 5) for i in range(5)]),
+    "mobius_ladder": lambda: build_graph(10, cycle_edges(10) + [(i, i + 5) for i in range(5)]),
+    "2C5": lambda: build_graph(10, cycle_edges(5) + cycle_edges(5, 5)),
+    "matching": lambda: build_graph(10, [(2 * i, 2 * i + 1) for i in range(5)]),
+    "empty": lambda: build_graph(10, []),
+    "K10": lambda: complete_graph(10),
+}
+
+
 class TestCanonicalForm:
     def test_relabeling_invariance_exhaustive_k3(self):
         base = canonical_form(complete_graph(3))
@@ -167,11 +217,48 @@ class TestCanonicalForm:
                 assert canonical_form(h) == base
 
     def test_distinguishes_nonisomorphic_n6(self):
-        # canonical forms must separate all isomorphism classes; check via
-        # a full pass at n=4 (11 classes)
-        from conftest import all_graphs
-        forms = {canonical_form(g) for g in all_graphs(4)}
-        assert len(forms) == 11
+        # canonical forms must separate all isomorphism classes: a full pass
+        # at n = 4, 5 and 6 (11, 34 and 156 classes, OEIS A000088)
+        for n, classes in [(4, 11), (5, 34), (6, 156)]:
+            forms = {canonical_form(g) for g in all_graphs(n)}
+            assert len(forms) == classes, n
+
+    def test_matches_reference_every_graph_n6(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert canonical_form(g) == reference_canonical_form(g), (n, g.edge_list())
+
+    def test_matches_reference_random(self):
+        # At most 8! orders per reference call, well under a second each.
+        # The degree-capped graphs are near-regular, so their classes are large.
+        rng = random.Random(11)
+        graphs = [random_bounded_graph(n, d, s)
+                  for n in range(5, 9) for d in range(1, 5) for s in range(4)]
+        for _ in range(150):
+            n = rng.randrange(1, 9)
+            p = rng.random()
+            graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                          if rng.random() < p]))
+        for g in graphs:
+            assert canonical_form(g) == reference_canonical_form(g), (g.n, g.edge_list())
+
+    @pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+    def test_limit_cases_relabeled(self, name):
+        # n = CANONICAL_LIMIT graphs that refinement leaves as one class of
+        # 10 vertices: 10! orders without pruning.
+        g = LIMIT_CASES[name]()
+        base = canonical_form(g)
+        edges = g.edge_list()
+        rng = random.Random(name)
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(build_graph(g.n, [(perm[u], perm[v]) for u, v in edges])) == base
+
+    def test_limit_cases_distinct(self):
+        cubic = ["petersen", "prism", "mobius_ladder"]
+        assert len({canonical_form(LIMIT_CASES[k]()) for k in cubic}) == 3
+        assert canonical_form(LIMIT_CASES["C10"]()) != canonical_form(LIMIT_CASES["2C5"]())
 
     def test_too_large(self):
         with pytest.raises(TooLargeForCanonicalization):
@@ -258,6 +345,14 @@ class TestEnumerate:
         assert rep.graphs_enumerated == len(counted)
         assert rep.max_cliques_found == best
         assert rep.extremal_graphs == sorted({canonical_form(g).decode() for g in extremal})
+
+    def test_n8_reports_byte_identical(self, monkeypatch):
+        # One SHA-256 over the (8, d, 3) reports for d = 1..3, pinned when
+        # canonical_form still tried every product of within-class orders.
+        monkeypatch.delenv("TRIDENT_MAX_EXHAUSTIVE_N", raising=False)  # the default, 8
+        reports = [enumerate_and_verify(8, d, 3) for d in (1, 2, 3)]
+        digest = hashlib.sha256(b"".join(rep.to_json().encode() + b"\n" for rep in reports))
+        assert digest.hexdigest() == "917ecaf33749e5b0962b3bda7e4de4a713f49078d367cce70c35d9d059c3649f"
 
     @pytest.mark.parametrize("jobs", [0, -3, True, False, 2.5, 1.0, "2", None])
     def test_bad_jobs_rejected(self, jobs):
