@@ -123,8 +123,6 @@ def random_bounded_graph(n: int, d: int, seed: int) -> Graph:
     n, d = check_int(n, "vertex count", 1), check_int(d, "maximum degree", 1)
     if not (_is_int(seed) and 0 <= seed < 2**32):
         raise InvalidArgument(f"seed must be an integer in [0, 2**32), got {seed!r}")
-    if n == 1:
-        return build_graph(1, [])
     rng = getattr(_rngs, "rng", None)
     if rng is None:
         rng = _rngs.rng = np.random.RandomState()
@@ -170,6 +168,12 @@ def canonical_form(g: Graph) -> bytes:
 
     Exact isomorphism dedup: identical for isomorphic graphs, distinct
     otherwise, at the small scales the enumerator works at (n <= 10).
+    """
+    return _canonical(g.neighbor_masks())
+
+
+def _canonical(rows: list[int]) -> bytes:
+    """``canonical_form`` of the graph whose bit rows are ``rows``.
 
     The string is the minimum of the graph6 bits over every vertex order
     that lists the refined color classes in color order.  A depth-first
@@ -184,10 +188,9 @@ def canonical_form(g: Graph) -> bytes:
     the placed prefix and the classes and maps edges to edges, so both
     subtrees hold the same strings.
     """
-    n = g.n
+    n = len(rows)
     if n > CANONICAL_LIMIT:
         raise TooLargeForCanonicalization(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
-    rows = g.neighbor_masks()
     colors = _refine_colors(rows)
     classes: dict[int, list[int]] = {}
     for v in range(n):
@@ -256,8 +259,8 @@ def _block_table(n: int, b: int, t: int):
     ``plan[i]`` is (number of the smaller set, the added vertex, t - |Q|)
     for the Q numbered b + i.  ``table`` lists every subset S of the
     block's C(b, 2) slots in the search's skip-before-take order, as
-    (degree increment per block vertex, S's slot bits, numbers of the Q
-    that S makes complete).
+    (degree increment per block vertex, each block vertex's neighbors
+    in S as a bit row, numbers of the Q that S makes complete).
     """
     first = n - b
     number = {(v,): v - first for v in range(first, n)}
@@ -268,31 +271,28 @@ def _block_table(n: int, b: int, t: int):
             number[q] = len(number)
     pairs = list(combinations(range(b), 2))
     k = len(pairs)
-    base = n * (n - 1) // 2 - k
     table = []
     for s in range(1 << k):
         nbrs = [0] * b
-        bits = 0
         for p, (x, y) in enumerate(pairs):
             if (s >> (k - 1 - p)) & 1:  # the block's first slot is decided first
                 nbrs[x] |= 1 << (first + y)
                 nbrs[y] |= 1 << (first + x)
-                bits |= 1 << (base + p)
         complete = tuple(i for q, i in number.items() if len(q) >= 2
                          and all((nbrs[x - first] >> y) & 1 for x, y in combinations(q, 2)))
-        table.append((tuple(nb.bit_count() for nb in nbrs), bits, complete))
+        table.append((tuple(nb.bit_count() for nb in nbrs), tuple(nbrs), complete))
     return plan, table
 
 
 def _search_subtree(n, d, t, prefix_bits, prefix_len):
     """Enumerate all completions of a fixed prefix of edge-slot decisions.
 
-    Returns (graphs_enumerated, best_count, extremal_edge_masks).  The
-    prefix decides the first ``prefix_len`` lexicographic slots: below it
-    the recursion follows only the prefix bit, so an infeasible prefix
-    reaches no graph and yields (0, 0, []).  Tied extremal graphs are kept
-    only while the best count is positive; a subtree with no t-clique
-    returns no mask.
+    Returns (graphs_enumerated, best_count, extremal_graphs), each graph
+    as its n bit rows.  The prefix decides the first ``prefix_len``
+    lexicographic slots: below it the recursion follows only the prefix
+    bit, so an infeasible prefix reaches no graph and yields (0, 0, []).
+    Tied extremal graphs are kept only while the best count is positive;
+    a subtree with no t-clique returns no graph.
 
     The slots among the last BLOCK vertices come last.  The search stops
     before them and completes them from one table: a t-clique that gains
@@ -300,7 +300,8 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
     its other t - |Q| vertices are a clique in the common lower
     neighborhood of Q, which is fully decided.  So a completion depends
     only on the block's residual degree caps and on those clique counts,
-    and is computed once per distinct pair.
+    and is computed once per distinct pair.  At the stop every row is
+    complete but for the block's internal edges, which the table's rows add.
     """
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ns = len(slots)
@@ -308,38 +309,38 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
     while b * (b - 1) // 2 > ns - prefix_len:  # the prefix decides no block slot
         b -= 1
     stop = ns - b * (b - 1) // 2
-    block = range(n - b, n)
+    first = n - b
     plan, table = _block_table(n, b, t)
     # A block vertex gains at most b - 1 edges, so larger caps are equal.
     residual = [min(d - k, b - 1) for k in range(d + 1)]
     adj = [0] * n
     deg = [0] * n
-    graphs, best, masks = 0, 0, []
+    graphs, best, found = 0, 0, []
     memo = {}
     triangles_only = t == 3
     below = (1 << prefix_len) - 1  # the slots the prefix decides
     must_take, must_skip = prefix_bits & below, ~prefix_bits & below
 
     def complete(key):
-        """(feasible completions, best gain, slot bits of the best ones in order)."""
+        """(feasible completions, best gain, block rows of the best ones in order)."""
         feasible, top, tops = 0, -1, []
-        for incs, bits, qs in table:
+        for incs, nbrs, qs in table:
             if any(inc > c for inc, c in zip(incs, key)):
                 continue
             feasible += 1
             gain = sum(key[q] for q in qs)
             if gain > top:
-                top, tops = gain, [bits]
+                top, tops = gain, [nbrs]
             elif gain == top:
-                tops.append(bits)
+                tops.append(nbrs)
         return feasible, top, tops
 
-    def finish(edge_mask, cnt):
-        nonlocal graphs, best, masks
+    def finish(cnt):
+        nonlocal graphs, best, found
         # key: the block's residual caps, then the count of (t - |Q|)-cliques
         # in each Q's common neighborhood; block rows hold lower vertices only.
-        key = [residual[deg[v]] for v in block]
-        common = [adj[v] for v in block]
+        key = [residual[k] for k in deg[first:]]
+        common = adj[first:]
         for i, v, k in plan:
             m = common[i] & adj[v]
             common.append(m)
@@ -352,16 +353,16 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
         graphs += feasible
         total = cnt + gain
         if total > best:
-            best, masks = total, [edge_mask | s for s in tops]
-        elif total == best > 0:
-            masks.extend(edge_mask | s for s in tops)
+            best, found = total, []
+        if total == best > 0:
+            found.extend(adj[:first] + [a | x for a, x in zip(adj[first:], nbrs)] for nbrs in tops)
 
-    def rec(idx, edge_mask, cnt):
+    def rec(idx, cnt):
         if idx == stop:
-            finish(edge_mask, cnt)
+            finish(cnt)
             return
         if not (must_take >> idx) & 1:
-            rec(idx + 1, edge_mask, cnt)
+            rec(idx + 1, cnt)
         i, j = slots[idx]
         if not (must_skip >> idx) & 1 and deg[i] < d and deg[j] < d:
             common = adj[i] & adj[j]
@@ -371,32 +372,27 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
             adj[j] |= bi
             deg[i] += 1
             deg[j] += 1
-            rec(idx + 1, edge_mask | (1 << idx), cnt + delta)
+            rec(idx + 1, cnt + delta)
             adj[i] &= ~bj
             adj[j] &= ~bi
             deg[i] -= 1
             deg[j] -= 1
 
-    rec(0, 0, 0)
-    return graphs, best, masks
+    rec(0, 0)
+    return graphs, best, found
 
 
 def _subtree_worker(args):
     return _search_subtree(*args)
 
 
-def graph_from_slot_mask(n: int, mask: int) -> Graph:
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return build_graph(n, [slots[k] for k in _iter_bits(mask)])
-
-
 def _predicted_forms(n: int, d: int, r: int) -> list[bytes]:
     """Canonical forms of qK_{d+1} joined with every graph H on r vertices (r <= 2),
     or just K_r when r >= 3."""
-    base = build_extremal(n, d)
-    forms = {canonical_form(base)}
-    if r == 2:  # the K_2 may also be two isolated vertices
-        forms.add(canonical_form(build_graph(n, base.edge_list()[:-1])))
+    rows = build_extremal(n, d).neighbor_masks()
+    forms = {_canonical(rows)}
+    if r == 2:  # the K_2, on the last two vertices, may also be two isolated vertices
+        forms.add(_canonical(rows[:-2] + [0, 0]))
     return sorted(forms)
 
 
@@ -413,6 +409,8 @@ def enumerate_and_verify(n: int, d: int, t: int = 3, jobs: int = 1) -> Enumerati
     limit = exhaustive_limit()
     if n > limit:
         raise ExhaustiveLimitExceeded(f"n={n} exceeds exhaustive limit {limit}")
+    if n > CANONICAL_LIMIT:
+        raise TooLargeForCanonicalization(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
     params, bound = gls_bound(n, d, t)
     d, t = params.d, params.t
 
@@ -424,16 +422,16 @@ def enumerate_and_verify(n: int, d: int, t: int = 3, jobs: int = 1) -> Enumerati
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_subtree_worker, tasks))
-    graphs, best, masks = 0, 0, []
-    for sg, sb, sm in results:
+    graphs, best, found = 0, 0, []
+    for sg, sb, sf in results:
         graphs += sg
         if sb > best:
-            best, masks = sb, sm
+            best, found = sb, sf
         elif sb == best:
-            masks.extend(sm)
+            found.extend(sf)
 
     # A cell with no t-clique (bound 0) reports one representative, the empty graph.
-    forms = sorted({canonical_form(graph_from_slot_mask(n, mk)) for mk in masks or [0]})
+    forms = sorted({_canonical(rows) for rows in found or [[0] * n]})
     violation = best > bound
 
     # The structural prediction concerns triangles and is vacuous at bound 0.

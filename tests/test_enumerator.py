@@ -23,7 +23,7 @@ from trident import (
     max_degree,
     random_bounded_graph,
 )
-from trident.enumerator import _cliques_in_mask, _search_subtree, exhaustive_limit
+from trident.enumerator import _cliques_in_mask, _predicted_forms, _search_subtree, exhaustive_limit
 from trident.errors import ExhaustiveLimitExceeded, InvalidArgument, TooLargeForCanonicalization
 from trident.formats import g6_encode
 from conftest import all_graphs, complete_graph, petersen
@@ -303,6 +303,17 @@ class TestEnumerate:
         with pytest.raises(ExhaustiveLimitExceeded):
             enumerate_and_verify(5, 3, 3)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_canonical_limit_before_search(self, monkeypatch, d):
+        # Past CANONICAL_LIMIT the forms step could not run, so no search starts.
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "11")
+        monkeypatch.setattr(enumerator, "_search_subtree", never)
+        with pytest.raises(TooLargeForCanonicalization, match=r"^canonical_form limited to n <= 10$"):
+            enumerate_and_verify(11, d, 3)
+
     def test_env_not_an_integer(self, monkeypatch):
         monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "abc")
         with pytest.raises(InvalidArgument):
@@ -345,6 +356,15 @@ class TestEnumerate:
         assert rep.graphs_enumerated == len(counted)
         assert rep.max_cliques_found == best
         assert rep.extremal_graphs == sorted({canonical_form(g).decode() for g in extremal})
+
+    @pytest.mark.parametrize("n, d", [(5, 2), (8, 2), (7, 4), (10, 3)])
+    def test_predicted_forms_r2(self, n, d):
+        # The r = 2 prediction: the construction, and it without its K_2's edge.
+        assert n % (d + 1) == 2
+        g = build_extremal(n, d)
+        h = build_graph(n, g.edge_list()[:-1])
+        assert _predicted_forms(n, d, 2) == sorted({canonical_form(g), canonical_form(h)})
+        assert len(_predicted_forms(n, d, 2)) == 2
 
     def test_n8_reports_byte_identical(self, monkeypatch):
         # One SHA-256 over the (8, d, 3) reports for d = 1..3, pinned when
@@ -390,7 +410,6 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len):
     adj = [0] * n
     deg = [0] * n
     cnt = 0
-    edge_mask = 0
     for idx in range(prefix_len):
         if not (prefix_bits >> idx) & 1:
             continue
@@ -402,20 +421,19 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len):
         adj[j] |= 1 << i
         deg[i] += 1
         deg[j] += 1
-        edge_mask |= 1 << idx
 
-    state = {"graphs": 0, "best": 0, "masks": []}
+    state = {"graphs": 0, "best": 0, "found": []}
 
-    def rec(idx, edge_mask, cnt):
+    def rec(idx, cnt):
         if idx == ns:
             state["graphs"] += 1
             if cnt > state["best"]:
                 state["best"] = cnt
-                state["masks"] = [edge_mask]
-            elif cnt == state["best"] > 0:  # no mask while no t-clique is found
-                state["masks"].append(edge_mask)
+                state["found"] = [list(adj)]
+            elif cnt == state["best"] > 0:  # no graph while no t-clique is found
+                state["found"].append(list(adj))
             return
-        rec(idx + 1, edge_mask, cnt)
+        rec(idx + 1, cnt)
         i, j = slots[idx]
         if deg[i] < d and deg[j] < d:
             delta = _cliques_in_mask(adj, adj[i] & adj[j], t - 2)
@@ -423,21 +441,21 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len):
             adj[j] |= 1 << i
             deg[i] += 1
             deg[j] += 1
-            rec(idx + 1, edge_mask | (1 << idx), cnt + delta)
+            rec(idx + 1, cnt + delta)
             adj[i] &= ~(1 << j)
             adj[j] &= ~(1 << i)
             deg[i] -= 1
             deg[j] -= 1
 
-    rec(prefix_len, edge_mask, cnt)
-    return state["graphs"], state["best"], state["masks"]
+    rec(prefix_len, cnt)
+    return state["graphs"], state["best"], state["found"]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_search_matches_reference(n):
     # Every prefix of length <= 4, so at n = 4 and n = 5 the prefix reaches
-    # into the last vertices' slots and the table shrinks; masks compare as
-    # ordered lists.
+    # into the last vertices' slots and the table shrinks; the extremal
+    # graphs' bit rows compare as ordered lists.
     ns = n * (n - 1) // 2
     for d in range(1, 6):
         for t in (3, 4, 5):

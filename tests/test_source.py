@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import trident
@@ -32,3 +33,19 @@ def test_public_names_pinned():
         "shift_inequality_check", "triangles_meeting", "verify_certificate",
         "write_edge_list", "write_graph6",
     ]
+
+
+def test_imports_stdlib_or_numpy():
+    # The package needs nothing that cannot be installed offline: every
+    # import is the standard library, numpy or trident itself.
+    found = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found
+    allowed = sys.stdlib_module_names | {"numpy", "trident"}
+    assert not sorted(found - allowed), sorted(found - allowed)
