@@ -124,10 +124,11 @@ def peel(g: Graph, d: int) -> PeelCertificate:
     d = check_int(d, "maximum degree", 1)
     if g.n == 0:
         raise EmptyGraph("cannot peel an empty graph")
-    if max_degree(g) > d:
-        raise DegreeExceeded(f"max degree {max_degree(g)} exceeds declared cap {d}")
+    top = max_degree(g)
+    if top > d:
+        raise DegreeExceeded(f"max degree {top} exceeds declared cap {d}")
     params, bound = gls_bound(g.n, d, 3)
-    step_bound = _step_bounds(d)
+    step_bound = _step_bounds(top)  # no degree in g exceeds top; the telescoping check keeps d
 
     steps: list[PeelStep] = []
     total = 0

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("-t", type=int, default=3)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel subtree workers (default 1)")
+    sp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the search runs in one process")
     sp.add_argument("-o", dest="output", default=None, help="write report JSON here")
 
     sub.add_parser("complement-check", help="check the complement triangle identity",

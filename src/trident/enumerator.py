@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -30,7 +29,7 @@ from .graph import Graph, _is_int, _iter_bits, build_graph, check_int
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 EXHAUSTIVE_LIMIT_ENV = "TRIDENT_MAX_EXHAUSTIVE_N"
 CANONICAL_LIMIT = 10
-BLOCK = 4  # the search completes the slots among the last BLOCK vertices from one table
+BLOCK = 5  # the search completes the slots among the last BLOCK vertices from one table
 
 
 def exhaustive_limit() -> int:
@@ -255,44 +254,45 @@ def _block_table(n: int, b: int, t: int):
 
     The block's sets Q with 2 <= |Q| <= t are numbered b, b + 1, ... in
     order of size; each extends a smaller set (a single vertex numbered
-    0..b-1, or an earlier Q) by one vertex.  Returns (plan, table):
-    ``plan[i]`` is (number of the smaller set, the added vertex, t - |Q|)
-    for the Q numbered b + i.  ``table`` lists every subset S of the
-    block's C(b, 2) slots in the search's skip-before-take order, as
-    (degree increment per block vertex, each block vertex's neighbors
-    in S as a bit row, numbers of the Q that S makes complete).
+    0..b-1, or an earlier Q) by one vertex.  Returns (plan, incs,
+    completes, rows): ``plan[i]`` is (number of the smaller set, the added
+    vertex, t - |Q|) for the Q numbered b + i.  The other three hold one
+    entry per subset S of the block's k = C(b, 2) slots, in the search's
+    skip-before-take order: entry s takes slot p when bit k - 1 - p of s
+    is set.  ``incs[s]`` is the degree increment per block vertex,
+    ``completes[s, i]`` is 1 when S makes the Q numbered b + i complete,
+    and ``rows[s]`` lists each block vertex's neighbors in S as a bit row.
     """
     first = n - b
-    number = {(v,): v - first for v in range(first, n)}
+    number = {(x,): x for x in range(b)}
     plan = []
     for size in range(2, min(b, t) + 1):
-        for q in combinations(range(first, n), size):
-            plan.append((number[q[:-1]], q[-1], t - size))
+        for q in combinations(range(b), size):
+            plan.append((number[q[:-1]], first + q[-1], t - size))
             number[q] = len(number)
     pairs = list(combinations(range(b), 2))
     k = len(pairs)
-    table = []
-    for s in range(1 << k):
-        nbrs = [0] * b
-        for p, (x, y) in enumerate(pairs):
-            if (s >> (k - 1 - p)) & 1:  # the block's first slot is decided first
-                nbrs[x] |= 1 << (first + y)
-                nbrs[y] |= 1 << (first + x)
-        complete = tuple(i for q, i in number.items() if len(q) >= 2
-                         and all((nbrs[x - first] >> y) & 1 for x, y in combinations(q, 2)))
-        table.append((tuple(nb.bit_count() for nb in nbrs), tuple(nbrs), complete))
-    return plan, table
+    take = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    ends = np.zeros((k, b), np.int64)  # the slot's two endpoints
+    bits = np.zeros((k, b), np.int64)  # the bit the slot sets in each endpoint's row
+    for p, (x, y) in enumerate(pairs):
+        ends[p, [x, y]] = 1
+        bits[p, x], bits[p, y] = 1 << (first + y), 1 << (first + x)
+    slot = {pair: p for p, pair in enumerate(pairs)}
+    completes = np.zeros((1 << k, len(plan)), np.int64)
+    for i, q in enumerate(list(number)[b:]):
+        completes[:, i] = take[:, [slot[pair] for pair in combinations(q, 2)]].all(1)
+    return plan, take @ ends, completes, (take @ bits).tolist()
 
 
-def _search_subtree(n, d, t, prefix_bits, prefix_len):
-    """Enumerate all completions of a fixed prefix of edge-slot decisions.
+def _search(n, d, t):
+    """Enumerate every graph on n vertices with maximum degree at most d.
 
     Returns (graphs_enumerated, best_count, extremal_graphs), each graph
-    as its n bit rows.  The prefix decides the first ``prefix_len``
-    lexicographic slots: below it the recursion follows only the prefix
-    bit, so an infeasible prefix reaches no graph and yields (0, 0, []).
+    as its n bit rows, in the order the search meets them.  The slots are
+    decided in lexicographic order, each skipped before it is taken.
     Tied extremal graphs are kept only while the best count is positive;
-    a subtree with no t-clique returns no graph.
+    a search with no t-clique returns no graph.
 
     The slots among the last BLOCK vertices come last.  The search stops
     before them and completes them from one table: a t-clique that gains
@@ -300,17 +300,15 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
     its other t - |Q| vertices are a clique in the common lower
     neighborhood of Q, which is fully decided.  So a completion depends
     only on the block's residual degree caps and on those clique counts,
-    and is computed once per distinct pair.  At the stop every row is
+    and is computed once per distinct pair, over the table's arrays; the
+    memo keeps the indices of the best entries.  At the stop every row is
     complete but for the block's internal edges, which the table's rows add.
     """
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ns = len(slots)
     b = min(BLOCK, n)
-    while b * (b - 1) // 2 > ns - prefix_len:  # the prefix decides no block slot
-        b -= 1
-    stop = ns - b * (b - 1) // 2
+    stop = len(slots) - b * (b - 1) // 2
     first = n - b
-    plan, table = _block_table(n, b, t)
+    plan, incs, completes, rows = _block_table(n, b, t)
     # A block vertex gains at most b - 1 edges, so larger caps are equal.
     residual = [min(d - k, b - 1) for k in range(d + 1)]
     adj = [0] * n
@@ -318,53 +316,48 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
     graphs, best, found = 0, 0, []
     memo = {}
     triangles_only = t == 3
-    below = (1 << prefix_len) - 1  # the slots the prefix decides
-    must_take, must_skip = prefix_bits & below, ~prefix_bits & below
 
     def complete(key):
-        """(feasible completions, best gain, block rows of the best ones in order)."""
-        feasible, top, tops = 0, -1, []
-        for incs, nbrs, qs in table:
-            if any(inc > c for inc, c in zip(incs, key)):
-                continue
-            feasible += 1
-            gain = sum(key[q] for q in qs)
-            if gain > top:
-                top, tops = gain, [nbrs]
-            elif gain == top:
-                tops.append(nbrs)
-        return feasible, top, tops
+        """(feasible completions, best gain, table indices of the best ones in order)."""
+        key = np.frombuffer(key, np.uint8)
+        ok = np.flatnonzero((incs <= key[:b]).all(1))
+        gains = completes[ok] @ key[b:]
+        top = gains.max()
+        return len(ok), int(top), ok[gains == top]
 
     def finish(cnt):
         nonlocal graphs, best, found
         # key: the block's residual caps, then the count of (t - |Q|)-cliques
         # in each Q's common neighborhood; block rows hold lower vertices only.
+        # Packed as bytes, a quarter of a tuple's memory: each entry is a cap
+        # below b or a count of cliques among the n - b lower vertices, at
+        # most C(5, 2) = 10 while n <= CANONICAL_LIMIT.
         key = [residual[k] for k in deg[first:]]
         common = adj[first:]
         for i, v, k in plan:
             m = common[i] & adj[v]
             common.append(m)
             key.append(1 if k == 0 else m.bit_count() if k == 1 else _cliques_in_mask(adj, m, k))
-        key = tuple(key)
+        key = bytes(key)
         entry = memo.get(key)
         if entry is None:
             entry = memo[key] = complete(key)
-        feasible, gain, tops = entry
+        feasible, gain, tied = entry
         graphs += feasible
         total = cnt + gain
         if total > best:
             best, found = total, []
         if total == best > 0:
-            found.extend(adj[:first] + [a | x for a, x in zip(adj[first:], nbrs)] for nbrs in tops)
+            found.extend(adj[:first] + [a | x for a, x in zip(adj[first:], rows[s])]
+                         for s in tied.tolist())
 
     def rec(idx, cnt):
         if idx == stop:
             finish(cnt)
             return
-        if not (must_take >> idx) & 1:
-            rec(idx + 1, cnt)
+        rec(idx + 1, cnt)
         i, j = slots[idx]
-        if not (must_skip >> idx) & 1 and deg[i] < d and deg[j] < d:
+        if deg[i] < d and deg[j] < d:
             common = adj[i] & adj[j]
             delta = common.bit_count() if triangles_only else _cliques_in_mask(adj, common, t - 2)
             bi, bj = 1 << i, 1 << j
@@ -382,14 +375,13 @@ def _search_subtree(n, d, t, prefix_bits, prefix_len):
     return graphs, best, found
 
 
-def _subtree_worker(args):
-    return _search_subtree(*args)
-
-
 def _predicted_forms(n: int, d: int, r: int) -> list[bytes]:
     """Canonical forms of qK_{d+1} joined with every graph H on r vertices (r <= 2),
     or just K_r when r >= 3."""
-    rows = build_extremal(n, d).neighbor_masks()
+    rows = []  # build_extremal(n, d)'s rows: a block of k vertices from s is a K_k
+    for s in range(0, n, d + 1):
+        k = min(d + 1, n - s)
+        rows += [(((1 << k) - 1) << s) ^ (1 << v) for v in range(s, s + k)]
     forms = {_canonical(rows)}
     if r == 2:  # the K_2, on the last two vertices, may also be two isolated vertices
         forms.add(_canonical(rows[:-2] + [0, 0]))
@@ -402,8 +394,8 @@ def enumerate_and_verify(n: int, d: int, t: int = 3, jobs: int = 1) -> Enumerati
     Records the number of such graphs, the maximum t-clique count and the
     canonical forms of the extremal graphs (the empty graph's alone when
     no graph has a t-clique), and compares them with the predicted
-    disjoint-clique forms.  With ``jobs > 1`` the search tree is split by
-    its first slots over that many worker processes; the report is the same.
+    disjoint-clique forms.  ``jobs`` (an integer >= 1) is accepted for
+    compatibility; the search runs in one process whatever its value.
     """
     n, jobs = check_int(n, "vertex count", 1), check_int(jobs, "jobs", 1)
     limit = exhaustive_limit()
@@ -414,21 +406,8 @@ def enumerate_and_verify(n: int, d: int, t: int = 3, jobs: int = 1) -> Enumerati
     params, bound = gls_bound(n, d, t)
     d, t = params.d, params.t
 
-    # One subtree per prefix of the first ``depth`` slots; one job searches the whole tree.
-    depth = 0 if jobs == 1 else min(n * (n - 1) // 2, (4 * jobs - 1).bit_length())
-    tasks = [(n, d, t, bits, depth) for bits in range(1 << depth)]
-    if len(tasks) == 1:
-        results = [_subtree_worker(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_subtree_worker, tasks))
-    graphs, best, found = 0, 0, []
-    for sg, sb, sf in results:
-        graphs += sg
-        if sb > best:
-            best, found = sb, sf
-        elif sb == best:
-            found.extend(sf)
+    # No degree exceeds n - 1, so a larger cap searches the same graphs.
+    graphs, best, found = _search(n, min(d, n - 1), t)
 
     # A cell with no t-clique (bound 0) reports one representative, the empty graph.
     forms = sorted({_canonical(rows) for rows in found or [[0] * n]})

@@ -73,6 +73,26 @@ class TestPeel:
         with pytest.raises(DegreeExceeded):
             peel(complete_graph(4), 2)
 
+    def test_declared_degree_past_the_graph(self, monkeypatch):
+        # The step bounds run to the graph's largest degree, not to d: a
+        # table of d + 1 entries would not fit in memory at d = 10**18.
+        from trident import certify
+
+        g = build_graph(3, [(0, 1)])
+        step_bounds, sizes = certify._step_bounds, []
+
+        def guarded(k):
+            sizes.append(k)
+            if k > max_degree(g):
+                raise AssertionError(f"step bounds sized by {k}")
+            return step_bounds(k)
+
+        monkeypatch.setattr(certify, "_step_bounds", guarded)
+        cert = peel(g, 10**18)
+        assert sizes == [1]
+        assert cert.d == 10**18 and cert.steps == peel(g, max_degree(g)).steps
+        assert verify_certificate(g, cert)
+
     def test_invariants_random(self):
         rng = random.Random(32)
         for _ in range(40):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,23 @@ def test_enumerate(capsys, tmp_path):
     assert data["max_cliques_found"] == 4
     assert not data["violation_found"]
     assert json.loads(out.read_text()) == data
+
+
+def test_enumerate_declared_degree_past_n(tmp_path):
+    # A degree cap past n - 1 searches the same graphs as n - 1.  The run
+    # gets 1 GiB of address space, so a search sized by d fails fast.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    space = 1 << 30
+    reports = []
+    for d in ["1000000000000000000", "3"]:
+        out = subprocess.run([sys.executable, "-m", "trident", "enumerate", "-n", "4", "-d", d, "--json"],
+                             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+                             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (space, space)))
+        assert out.returncode == 0, out.stderr
+        reports.append(json.loads(out.stdout))
+    assert reports[0]["d"] == 10**18
+    assert {**reports[0], "d": 3} == reports[1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,11 +1,9 @@
 import hashlib
-import os
 import random
 import re
 import sys
 import threading
-import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -23,7 +21,13 @@ from trident import (
     max_degree,
     random_bounded_graph,
 )
-from trident.enumerator import _cliques_in_mask, _predicted_forms, _search_subtree, exhaustive_limit
+from trident.enumerator import (
+    _block_table,
+    _cliques_in_mask,
+    _predicted_forms,
+    _search,
+    exhaustive_limit,
+)
 from trident.errors import ExhaustiveLimitExceeded, InvalidArgument, TooLargeForCanonicalization
 from trident.formats import g6_encode
 from conftest import all_graphs, complete_graph, petersen
@@ -310,7 +314,7 @@ class TestEnumerate:
             raise AssertionError("the search ran")
 
         monkeypatch.setenv("TRIDENT_MAX_EXHAUSTIVE_N", "11")
-        monkeypatch.setattr(enumerator, "_search_subtree", never)
+        monkeypatch.setattr(enumerator, "_search", never)
         with pytest.raises(TooLargeForCanonicalization, match=r"^canonical_form limited to n <= 10$"):
             enumerate_and_verify(11, d, 3)
 
@@ -320,22 +324,6 @@ class TestEnumerate:
             exhaustive_limit()
         with pytest.raises(InvalidArgument):
             enumerate_and_verify(3, 2, 3)
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_jobs_use_every_worker(self, monkeypatch, tmp_path, jobs):
-        # Forked workers inherit the patch; each appends its pid per subtree.
-        serial = enumerate_and_verify(5, 3, 3)
-        search, log = enumerator._search_subtree, tmp_path / "pids"
-
-        def logged(*args):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            time.sleep(0.1)  # every worker is up before the queue drains
-            return search(*args)
-
-        monkeypatch.setattr(enumerator, "_search_subtree", logged)
-        assert enumerate_and_verify(5, 3, 3, jobs=jobs) == serial
-        assert len(set(log.read_text().split())) == jobs
 
     def test_jobs_agree_with_serial(self):
         # 16 subtrees over 3 workers; (5, 1, 3) has no triangle and reports the empty graph
@@ -374,37 +362,50 @@ class TestEnumerate:
         digest = hashlib.sha256(b"".join(rep.to_json().encode() + b"\n" for rep in reports))
         assert digest.hexdigest() == "917ecaf33749e5b0962b3bda7e4de4a713f49078d367cce70c35d9d059c3649f"
 
+    def test_declared_degree_past_n(self, monkeypatch):
+        # No degree exceeds n - 1, so the search runs with that cap; sized
+        # by d, its residual caps would not fit in memory at d = 10**18.
+        search = enumerator._search
+
+        def capped(n, d, t):
+            if d > n - 1:
+                raise AssertionError(f"search capped at d={d}")
+            return search(n, d, t)
+
+        monkeypatch.setattr(enumerator, "_search", capped)
+        rep = enumerate_and_verify(4, 10**18)
+        assert rep.d == 10**18
+        assert {**rep.to_dict(), "d": 3} == enumerate_and_verify(4, 3).to_dict()
+
+    # The to_json() SHA-256 of each cell, recorded before the search ran in
+    # one process (the n = 8, t = 3 sweep and perfbench's two `small` cells).
+    CELL_DIGESTS = {
+        (8, 1, 3): "b1ce7f01d1be7a8abf0220969434f24725cd6e4e9b8ea312244f098c20428287",
+        (8, 2, 3): "f0d0631893fb576f35bb535eb8c73ef02b50dbe25e0cb4604856436fafc6836e",
+        (8, 3, 3): "de835c4268d76ced8b78f33821d483853c2cbae4e5bdae3d045fc0b42c5c0573",
+        (8, 4, 3): "0a0d3916018a5685b359d8c0eaac921e5778884bc3782096312b5100a8b9c452",
+        (8, 5, 3): "f7dfceea7d9ec0438b1a5d1a569f151bcb578b8548af282ee051d629c608006e",
+        (8, 6, 3): "4b1956cde2518b8eee779d0c16f628e071a4830867a50b791be192bf256d354e",
+        (8, 7, 3): "56356b0f65af45cf6dd1de0b441c61f1ea04c981b9a66f2699213a4432962881",
+        (7, 4, 3): "fe619118fab483c7d83f7c2e0237c5e909f10e31ceeeec891693eddcf186872a",
+        (7, 3, 4): "d6e66fdbae80af6dab15ee6f2dc864293fde308d33029a5a52f061cb00064038",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELL_DIGESTS))
+    def test_report_digest_per_cell(self, monkeypatch, cell):
+        monkeypatch.delenv("TRIDENT_MAX_EXHAUSTIVE_N", raising=False)  # the default, 8
+        digest = hashlib.sha256(enumerate_and_verify(*cell).to_json().encode()).hexdigest()
+        assert digest == self.CELL_DIGESTS[cell]
+
     @pytest.mark.parametrize("jobs", [0, -3, True, False, 2.5, 1.0, "2", None])
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(InvalidArgument, match="jobs must be an integer >= 1"):
             enumerate_and_verify(4, 3, 3, jobs=jobs)
 
-    def test_no_more_workers_than_subtrees(self, monkeypatch):
-        # n = 2 has one slot, so two subtrees whatever the job count; the
-        # pool is replaced by an in-process one that starts no process.
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(enumerator, "ProcessPoolExecutor", InProcessPool)
-        assert enumerate_and_verify(2, 1, 3, jobs=3) == enumerate_and_verify(2, 1, 3)
-        assert started == [2]
-
 
 def reference_search_subtree(n, d, t, prefix_bits, prefix_len):
     """The search one leaf at a time, as it was before the last vertices
-    were completed from a table; ``_search_subtree`` must agree with it."""
+    were completed from a table; ``_search`` must agree with it."""
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ns = len(slots)
     adj = [0] * n
@@ -453,14 +454,47 @@ def reference_search_subtree(n, d, t, prefix_bits, prefix_len):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_search_matches_reference(n):
-    # Every prefix of length <= 4, so at n = 4 and n = 5 the prefix reaches
-    # into the last vertices' slots and the table shrinks; the extremal
-    # graphs' bit rows compare as ordered lists.
-    ns = n * (n - 1) // 2
-    for d in range(1, 6):
+    # Caps past n - 1 included; the extremal graphs' bit rows compare as
+    # ordered lists.
+    for d in range(1, n + 4):
         for t in (3, 4, 5):
-            for length in range(min(ns, 4) + 1):
-                for bits in range(1 << length):
-                    want = reference_search_subtree(n, d, t, bits, length)
-                    assert _search_subtree(n, d, t, bits, length) == want, \
-                        (n, d, t, bits, length)
+            assert _search(n, d, t) == reference_search_subtree(n, d, t, 0, 0), (n, d, t)
+
+
+def reference_block_table(n, b, t):
+    """``_block_table`` one entry at a time, as (plan, table): each table
+    entry is (increments, block rows, numbers of the completed Q)."""
+    first = n - b
+    number = {(v,): v - first for v in range(first, n)}
+    plan = []
+    for size in range(2, min(b, t) + 1):
+        for q in combinations(range(first, n), size):
+            plan.append((number[q[:-1]], q[-1], t - size))
+            number[q] = len(number)
+    pairs = list(combinations(range(b), 2))
+    k = len(pairs)
+    table = []
+    for s in range(1 << k):
+        nbrs = [0] * b
+        for p, (x, y) in enumerate(pairs):
+            if (s >> (k - 1 - p)) & 1:  # the block's first slot is decided first
+                nbrs[x] |= 1 << (first + y)
+                nbrs[y] |= 1 << (first + x)
+        complete = tuple(i for q, i in number.items() if len(q) >= 2
+                         and all((nbrs[x - first] >> y) & 1 for x, y in combinations(q, 2)))
+        table.append((tuple(nb.bit_count() for nb in nbrs), tuple(nbrs), complete))
+    return plan, table
+
+
+@pytest.mark.parametrize("b", range(1, 6))
+def test_block_table_matches_reference(b):
+    for n in sorted({b, 8}):
+        for t in (3, 4, 5):
+            plan, incs, completes, rows = _block_table(n, b, t)
+            want_plan, table = reference_block_table(n, b, t)
+            assert plan == want_plan, (n, b, t)
+            assert len(incs) == len(completes) == len(rows) == len(table) == 1 << b * (b - 1) // 2
+            for s, (inc, nbrs, complete) in enumerate(table):
+                assert tuple(incs[s].tolist()) == inc, (n, b, t, s)
+                assert tuple(rows[s]) == nbrs, (n, b, t, s)
+                assert tuple(b + i for i in np.flatnonzero(completes[s]).tolist()) == complete, (n, b, t, s)

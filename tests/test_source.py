@@ -49,3 +49,22 @@ def test_imports_stdlib_or_numpy():
     assert "numpy" in found
     allowed = sys.stdlib_module_names | {"numpy", "trident"}
     assert not sorted(found - allowed), sorted(found - allowed)
+
+
+def test_no_process_modules():
+    # The package runs in the caller's process: no module starts workers
+    # or child processes.
+    banned = {"concurrent", "multiprocessing", "subprocess"}
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in banned]
+    assert not found, found
