@@ -4,11 +4,14 @@
 neighborhood meets few triangles, recording one step per deletion; the
 resulting certificate is a machine-checkable transcript showing the
 graph's triangle count is reached by steps of at most C(d(v)+1, 3) each.
+It counts once, then deletes N[v] locally: a dying triangle takes one off
+the count of every vertex it meets, a set no deletion changes.
 
 ``verify_certificate`` replays a certificate on the input graph's own
 vertex ids. It keeps each vertex's set of surviving neighbors and, per
-step, recounts the triangles meeting N[v] locally by set intersections:
-O(d^3) per step, with no code shared with ``peel`` or ``trident.counting``.
+step, counts the triangles meeting N[v] by set intersections as it
+deletes N[v]: O(d^3) per step, with no code shared with ``peel`` or
+``trident.counting``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .bounds import _gls, binomial, gls_bound
 from .counting import meeting_counts
 from .errors import DegreeExceeded, EmptyGraph, FormatError, IdentityViolation
 from .formats import graph_hash
-from .graph import Graph, check_int, closed_neighborhood, delete_vertices, max_degree
+from .graph import Graph, check_int, max_degree
 
 HASH_ALGORITHM = "sha256"
 
@@ -116,11 +119,17 @@ def select_vertex(g: Graph) -> int:
     """
     if g.n == 0:
         raise EmptyGraph("cannot select a vertex from an empty graph")
-    return _argmin_slack(g, meeting_counts(g), _step_bounds(max_degree(g)))
+    return _argmin_slack(range(g.n), meeting_counts(g), g.degrees, _step_bounds(max_degree(g)))[1]
 
 
 def peel(g: Graph, d: int) -> PeelCertificate:
-    """Execute the full peeling induction on g and record the transcript."""
+    """Execute the full peeling induction on g and record the transcript.
+
+    The meeting counts are computed once. Each step deletes N[v] from the
+    neighbor sets one vertex at a time; a triangle is listed at the first of
+    its vertices to go and taken off the count of every vertex it meets. A
+    vertex's relabeled id is its position in the ascending ``alive`` list.
+    """
     d = check_int(d, "maximum degree", 1)
     if g.n == 0:
         raise EmptyGraph("cannot peel an empty graph")
@@ -130,45 +139,43 @@ def peel(g: Graph, d: int) -> PeelCertificate:
     params, bound = gls_bound(g.n, d, 3)
     step_bound = _step_bounds(top)  # no degree in g exceeds top; the telescoping check keeps d
 
+    counts = meeting_counts(g)
+    alive = list(range(g.n))
+    adj = [set(map(alive.__getitem__, g.neighbors(u))) for u in alive]  # ints shared with alive
+    deg = list(g.degrees)
     steps: list[PeelStep] = []
     total = 0
-    cur = g
-    orig = list(range(g.n))
-    while cur.n:
-        counts = meeting_counts(cur)
-        v = _argmin_slack(cur, counts, step_bound)
-        dv = cur.degrees[v]
-        tri = counts[v]
+    while alive:
+        i, v = _argmin_slack(alive, counts, deg, step_bound)
+        dv, tri = deg[v], counts[v]
         if tri > step_bound[dv]:
-            raise IdentityViolation(f"selected vertex {v} exceeds its step bound")
+            raise IdentityViolation(f"selected vertex {i} exceeds its step bound")
         # telescoping step of the induction: one deletion cannot overshoot
-        if step_bound[dv] + _gls(cur.n - dv - 1, d, 3) > _gls(cur.n, d, 3):
-            raise IdentityViolation(f"deleting N[{v}] overshoots the bound telescoping")
-        nxt, kept = delete_vertices(cur, closed_neighborhood(cur, v))
-        steps.append(
-            PeelStep(
-                chosen_vertex=v,
-                original_vertex=orig[v],
-                degree_at_choice=dv,
-                triangles_removed=tri,
-                remaining_vertices=nxt.n,
-            )
-        )
+        if step_bound[dv] + _gls(len(alive) - dv - 1, d, 3) > _gls(len(alive), d, 3):
+            raise IdentityViolation(f"deleting N[{i}] overshoots the bound telescoping")
+        closed = adj[v] | {v}
+        listed = 0
+        for a in closed:
+            for b in adj[a]:
+                for c in adj[a] & adj[b]:
+                    if b < c:
+                        listed += 1
+                        for x in adj[a] | adj[b] | adj[c]:
+                            counts[x] -= 1
+            for b in adj[a]:
+                adj[b].discard(a)
+                deg[b] -= 1
+        if listed != tri:
+            raise IdentityViolation(
+                f"step {len(steps)}: N[{i}] meets {listed} triangles, not the counted {tri}")
+        alive = [u for u in alive if u not in closed]
+        steps.append(PeelStep(chosen_vertex=i, original_vertex=v, degree_at_choice=dv,
+                              triangles_removed=tri, remaining_vertices=len(alive)))
         total += tri
-        orig = [orig[o] for o in kept]
-        cur = nxt
 
-    return PeelCertificate(
-        input_hash=graph_hash(g, HASH_ALGORITHM),
-        hash_algorithm=HASH_ALGORITHM,
-        n=g.n,
-        d=d,
-        q=params.q,
-        r=params.r,
-        bound=bound,
-        steps=steps,
-        total_triangles=total,
-    )
+    return PeelCertificate(input_hash=graph_hash(g, HASH_ALGORITHM),
+                           hash_algorithm=HASH_ALGORITHM, n=g.n, d=d, q=params.q, r=params.r,
+                           bound=bound, steps=steps, total_triangles=total)
 
 
 def _step_bounds(d: int) -> list[int]:
@@ -176,12 +183,13 @@ def _step_bounds(d: int) -> list[int]:
     return [(k + 1) * k * (k - 1) // 6 for k in range(d + 1)]
 
 
-def _argmin_slack(g: Graph, counts: list[int], step_bound: list[int]) -> int:
-    slack, _, v = min((c - step_bound[k], k, v)
-                      for v, (c, k) in enumerate(zip(counts, g.degrees)))
+def _argmin_slack(ids, counts: list[int], deg: list[int], step_bound: list[int]):
+    """(position, id) of the id in ``ids`` (ascending) minimizing its slack
+    counts[v] - C(deg[v]+1, 3); ties by degree, then position."""
+    slack, _, i = min((counts[v] - step_bound[deg[v]], deg[v], i) for i, v in enumerate(ids))
     if slack > 0:
         raise IdentityViolation("no vertex with nonpositive slack; counting bug")
-    return v
+    return i, ids[i]
 
 
 # -- independent verification ---------------------------------------------
@@ -194,22 +202,6 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _meeting_triangles(nbrs: list[set[int]], closed: set[int]) -> int:
-    """Triangles of the surviving graph with a vertex in ``closed``.
-
-    Each triangle is counted once, at the first of its members in
-    ``closed`` that the loop reaches: O(|closed| * d^2) set work.
-    """
-    count = 0
-    done: set[int] = set()
-    for a in closed:
-        done.add(a)
-        rest = nbrs[a] - done
-        for b in rest:
-            count += len(rest & nbrs[b])
-    return count // 2  # each pair {b, c} of a's neighbors was seen from b and from c
 
 
 def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
@@ -253,12 +245,10 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
             return VerifyResult(False, f"step {i}: chosen vertex inconsistent with relabeling")
         if step.degree_at_choice != len(nbrs[v]):
             return VerifyResult(False, f"step {i}: degree mismatch")
+        # Delete N[v] one vertex at a time; a triangle is seen from the two
+        # others of its first deleted vertex u, once each, as u is deleted.
         closed = nbrs[v] | {v}
-        tri = _meeting_triangles(nbrs, closed)
-        if step.triangles_removed != tri:
-            return VerifyResult(False, f"step {i}: triangles_removed mismatch")
-        if tri > binomial(step.degree_at_choice + 1, 3):
-            return VerifyResult(False, f"step {i}: step bound violated")
+        tri = 0
         for u in closed:
             alive[u] = 0
             j = u + 1
@@ -266,7 +256,13 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
                 tree[j] -= 1
                 j += j & -j
             for x in nbrs[u]:
+                tri += len(nbrs[u] & nbrs[x])
                 nbrs[x].discard(u)
+        tri //= 2
+        if step.triangles_removed != tri:
+            return VerifyResult(False, f"step {i}: triangles_removed mismatch")
+        if tri > binomial(step.degree_at_choice + 1, 3):
+            return VerifyResult(False, f"step {i}: step bound violated")
         remaining -= len(closed)
         if step.remaining_vertices != remaining:
             return VerifyResult(False, f"step {i}: remaining vertex count mismatch")

@@ -168,6 +168,8 @@ def canonical_form(g: Graph) -> bytes:
     Exact isomorphism dedup: identical for isomorphic graphs, distinct
     otherwise, at the small scales the enumerator works at (n <= 10).
     """
+    if g.n > CANONICAL_LIMIT:
+        raise TooLargeForCanonicalization(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
     return _canonical(g.neighbor_masks())
 
 
@@ -188,8 +190,6 @@ def _canonical(rows: list[int]) -> bytes:
     subtrees hold the same strings.
     """
     n = len(rows)
-    if n > CANONICAL_LIMIT:
-        raise TooLargeForCanonicalization(f"canonical_form limited to n <= {CANONICAL_LIMIT}")
     colors = _refine_colors(rows)
     classes: dict[int, list[int]] = {}
     for v in range(n):

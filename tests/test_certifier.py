@@ -123,6 +123,29 @@ class TestPeel:
         with pytest.raises(IdentityViolation):
             peel(complete_graph(4), 3)
 
+    def test_miscounted_step_raises(self, monkeypatch):
+        # Every count one short: the first step lists more triangles than counted.
+        from trident import certify
+
+        meeting_counts = certify.meeting_counts
+        monkeypatch.setattr(certify, "meeting_counts", lambda g: [c - 1 for c in meeting_counts(g)])
+        with pytest.raises(IdentityViolation, match=r"^step 0: "):
+            peel(random_bounded_graph(40, 5, 7), 5)
+
+    def test_counts_once(self, monkeypatch):
+        from trident import certify
+
+        meeting_counts, calls = certify.meeting_counts, []
+
+        def counted(g):
+            calls.append(g.n)
+            return meeting_counts(g)
+
+        monkeypatch.setattr(certify, "meeting_counts", counted)
+        g = random_bounded_graph(200, 9, 0)
+        cert = peel(g, 9)
+        assert calls == [200] and len(cert.steps) > 1
+
     def test_deterministic(self):
         g = random_bounded_graph(40, 5, 7)
         a, b = peel(g, 5), peel(g, 5)
@@ -140,6 +163,13 @@ class TestPeel:
         digest = hashlib.sha256(b"".join(peel(g, max(1, max_degree(g))).to_json().encode() + b"\n"
                                          for g in graphs))
         assert digest.hexdigest() == "7fd6c7005664a60213b127211a0b6b3334d5f135376bace18bc6d3eaae3fe234"
+
+    def test_certificates_byte_identical_past_bit_budget(self):
+        # n * n is past DENSE_BIT_BUDGET, so the one count comes from the CSR
+        # kernel; pinned while peel recounted the whole graph at every step.
+        digest = hashlib.sha256(b"".join(peel(random_bounded_graph(1500, 16, s), 16).to_json().encode()
+                                         + b"\n" for s in range(3)))
+        assert digest.hexdigest() == "4b1cd08c0eeb505adc684908febe06383e5cb1268f63ea80bbed0ff044e4b1c8"
 
 
 class TestVerify:
@@ -287,8 +317,8 @@ class TestLocalReplay:
         def refuse(*args, **kwargs):
             raise AssertionError("the replay must not call this")
 
-        for module, name in [(counting, "_counts"), (certify, "delete_vertices"),
-                             (certify, "closed_neighborhood"), (certify, "meeting_counts")]:
+        for module, name in [(counting, "_counts"), (certify, "_argmin_slack"),
+                             (certify, "_step_bounds"), (certify, "meeting_counts")]:
             monkeypatch.setattr(module, name, refuse)
         for h, cert in certs:
             assert verify_certificate(h, cert)

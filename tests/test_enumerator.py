@@ -268,6 +268,16 @@ class TestCanonicalForm:
         with pytest.raises(TooLargeForCanonicalization):
             canonical_form(build_graph(11, []))
 
+    def test_too_large_refused_before_bit_rows(self, monkeypatch):
+        # n-bit rows at n = 10**6 would need about 125 GB: refuse first.
+        def refuse(self):
+            raise AssertionError("bit rows built before the size check")
+
+        path = build_graph(11, [(i, i + 1) for i in range(10)])
+        monkeypatch.setattr(type(path), "neighbor_masks", refuse)
+        with pytest.raises(TooLargeForCanonicalization):
+            canonical_form(path)
+
 
 class TestEnumerate:
     def test_k4_cell(self):
@@ -326,7 +336,7 @@ class TestEnumerate:
             enumerate_and_verify(3, 2, 3)
 
     def test_jobs_agree_with_serial(self):
-        # 16 subtrees over 3 workers; (5, 1, 3) has no triangle and reports the empty graph
+        # jobs is accepted and ignored; (5, 1, 3) has no triangle and reports the empty graph
         for cell in [(6, 3, 3), (5, 1, 3)]:
             serial = enumerate_and_verify(*cell, jobs=1)
             parallel = enumerate_and_verify(*cell, jobs=3)
