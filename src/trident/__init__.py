@@ -4,7 +4,6 @@ extremal bounds, peeling certificates, and exhaustive verification."""
 from .bounds import (
     BoundParams,
     binomial,
-    complement_identity_check,
     gls_bound,
     merge_bound,
     shift_inequality_check,
@@ -19,6 +18,7 @@ from .certify import (
 )
 from .counting import (
     CountsReport,
+    complement_identity_check,
     count_cliques,
     count_triangles,
     count_w,

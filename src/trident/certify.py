@@ -173,7 +173,7 @@ def peel(g: Graph, d: int) -> PeelCertificate:
                               triangles_removed=tri, remaining_vertices=len(alive)))
         total += tri
 
-    return PeelCertificate(input_hash=graph_hash(g, HASH_ALGORITHM),
+    return PeelCertificate(input_hash=graph_hash(g),
                            hash_algorithm=HASH_ALGORITHM, n=g.n, d=d, q=params.q, r=params.r,
                            bound=bound, steps=steps, total_triangles=total)
 
@@ -208,7 +208,7 @@ def verify_certificate(g: Graph, cert: PeelCertificate) -> VerifyResult:
     """Replay a certificate against g; returns ok plus a first-failure reason."""
     if cert.hash_algorithm != HASH_ALGORITHM:
         return VerifyResult(False, "unsupported hash algorithm")
-    if cert.input_hash != graph_hash(g, HASH_ALGORITHM):
+    if cert.input_hash != graph_hash(g):
         return VerifyResult(False, "input hash mismatch")
     if cert.n != g.n:
         return VerifyResult(False, "vertex count mismatch")

@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .bounds import complement_identity_check, gls_bound
+from .bounds import gls_bound
 from .certify import PeelCertificate, peel, verify_certificate
-from .counting import count_triangles, full_report
+from .counting import complement_identity_check, count_triangles, full_report
 from .enumerator import enumerate_and_verify
 from .errors import TridentError
 from .formats import load_graph
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("-t", type=int, default=3)
-    sp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the search runs in one process")
     sp.add_argument("-o", dest="output", default=None, help="write report JSON here")
 
     sub.add_parser("complement-check", help="check the complement triangle identity",
@@ -124,7 +123,7 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "enumerate":
-        rep = enumerate_and_verify(args.n, args.d, args.t, jobs=args.jobs)
+        rep = enumerate_and_verify(args.n, args.d, args.t)
         if args.output:
             with open(args.output, "w") as f:
                 f.write(rep.to_json() + "\n")

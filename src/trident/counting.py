@@ -9,19 +9,23 @@ the input, and raises IdentityViolation.
 Triangles, meeting counts and W come from one of two kernels, chosen in
 ``_counts`` by size: word-parallel bitset operations on n-bit rows built as
 scratch for small graphs, and the numpy forward triangle listing of
-``_fast`` for large ones.  t-cliques for t >= 3, and the K4 term of the
-large graphs' W, come from that listing for every n, each triangle grown
-one vertex at a time in pieces of bounded size.
+``_fast`` for large ones.  A kernel given no sum of cubed degrees returns
+the triangle count; given one, all three statistics, which full_report alone
+asks for, so every meeting count and W the package uses passes the
+identity.  t-cliques for t >= 3, and the K4 term of the large graphs' W,
+come from that listing for every n, each triangle grown one vertex at a
+time in pieces of bounded size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fast
-from .errors import IdentityViolation, InvalidCliqueSize
+from .errors import IdentityViolation, InvalidArgument, InvalidCliqueSize
 from .graph import Graph, _iter_bits, check_int, closed_neighborhood, delete_vertices
 
 
@@ -50,12 +54,12 @@ class CountsReport:
 DENSE_BIT_BUDGET = 2**20
 
 
-def _counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
-    """(triangles, meeting counts, W) from the kernel for g's size; W needs
-    cubes = sum d^3 and is None without it, as are unwanted meeting counts."""
+def _counts(g: Graph, cubes: int | None = None):
+    """The kernel for g's size: the triangle count without cubes, and with
+    cubes = sum d^3, (triangles, meeting counts, W)."""
     if g.n * g.n <= DENSE_BIT_BUDGET:
-        return _bitset_counts(g.neighbor_masks(), want_meeting, cubes)
-    return _csr_counts(g, want_meeting, cubes)
+        return _bitset_counts(g.neighbor_masks(), cubes)
+    return _csr_counts(g, cubes)
 
 
 def _degree_cube_sum(g: Graph) -> int:
@@ -63,25 +67,25 @@ def _degree_cube_sum(g: Graph) -> int:
     return sum(k**3 * c for k, c in enumerate(np.bincount(np.diff(g._indptr)).tolist()))
 
 
-def _bitset_counts(rows: list[int], want_meeting: bool = True, cubes: int | None = None):
-    """(triangles, meeting counts, W) by word-parallel operations on the
+def _bitset_counts(rows: list[int], cubes: int | None = None):
+    """The triangle count without cubes, and with cubes = sum d^3,
+    (triangles, meeting counts, W), by word-parallel operations on the
     neighborhood bitsets ``rows`` (bit u of rows[v] is edge uv); each
     triangle u < v < w is met once, at edge uv.
 
-    Each triangle adds one to the meeting count of every vertex in the union
-    of its three closed neighborhoods, all at once: the counts are kept as
-    bit planes and the union is ripple-carried into them.  W is
+    Each triangle adds one, all at once, to the meeting count of every vertex
+    in the union of its three open rows, which is N[u] | N[v] | N[w] since
+    each vertex of the triangle lies in the other two rows: the counts are
+    kept as bit planes and the union is ripple-carried into them.  W is
     sum d^3 - 6 sum_x d(x) t(x) + 6 sum_e s(e)^2 - 24 K4 as in _csr_counts:
     sum_x d(x) t(x) is the sum over triangles of their degree sums, s(uv) the
     common neighbors of u and v, and each K4 is met from its four triangles.
     """
     n = len(rows)
-    closed = [r | (1 << v) for v, r in enumerate(rows)]
     # The meeting counts in binary: bit x of planes[i] is bit i of the count
     # of x.  Fewer than n^3 triangles fit in (n^3).bit_length() planes.
     planes = [0] * (n**3).bit_length()
-    want_w = cubes is not None
-    deg = [r.bit_count() for r in rows] if want_w else None
+    deg = [r.bit_count() for r in rows]
     triangles = degree_sums = squares = k4_pairs = 0
     for u in range(n):
         ru = rows[u]
@@ -90,28 +94,25 @@ def _bitset_counts(rows: list[int], want_meeting: bool = True, cubes: int | None
             common = ru & rows[v]
             later = common >> (v + 1)
             triangles += later.bit_count()
-            if want_w:
-                squares += common.bit_count() ** 2
-            if not (want_meeting or want_w):
+            if cubes is None:
                 continue
+            squares += common.bit_count() ** 2
             for w in _iter_bits(later):
                 w += v + 1
-                if want_meeting:  # add 1 to the counts in N[u] | N[v] | N[w]
-                    carry, i = closed[u] | closed[v] | closed[w], 0
-                    while carry:
-                        plane = planes[i]
-                        planes[i] = plane ^ carry
-                        carry &= plane
-                        i += 1
-                if want_w:
-                    degree_sums += deg[u] + deg[v] + deg[w]
-                    k4_pairs += (common & rows[w]).bit_count()
-    meeting = None
-    if want_meeting:  # no count exceeds the triangle count
-        used = list(enumerate(planes[:triangles.bit_length()]))
-        meeting = [sum(((p >> x) & 1) << i for i, p in used) for x in range(n)]
-    w_count = cubes - 6 * degree_sums + 6 * squares - 6 * k4_pairs if want_w else None
-    return triangles, meeting, w_count
+                carry, i = ru | rows[v] | rows[w], 0  # add 1 to the counts in N(u) | N(v) | N(w)
+                while carry:
+                    plane = planes[i]
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    i += 1
+                degree_sums += deg[u] + deg[v] + deg[w]
+                k4_pairs += (common & rows[w]).bit_count()
+    if cubes is None:
+        return triangles
+    # no count exceeds the triangle count
+    used = list(enumerate(planes[:triangles.bit_length()]))
+    meeting = [sum(((p >> x) & 1) << i for i, p in used) for x in range(n)]
+    return triangles, meeting, cubes - 6 * degree_sums + 6 * squares - 6 * k4_pairs
 
 
 # -- triangle counting ----------------------------------------------------
@@ -133,7 +134,7 @@ def _orient(g: Graph):
 
 def count_triangles(g: Graph) -> int:
     """Exact number of unordered vertex triples inducing a triangle."""
-    return _counts(g, want_meeting=False)[0]
+    return _counts(g)
 
 
 # -- t-clique counting ----------------------------------------------------
@@ -166,8 +167,9 @@ def meeting_counts(g: Graph) -> list[int]:
 
     A triangle {a, b, c} meets N[v] exactly when v lies in
     N[a] | N[b] | N[c] (closed), so one pass over the triangles suffices.
+    They are full_report's, so they have passed the identity.
     """
-    return _counts(g)[1]
+    return full_report(g).per_vertex_meeting
 
 
 # -- W(G) ------------------------------------------------------------------
@@ -178,9 +180,10 @@ def count_w(g: Graph) -> int:
 
     Repeats among u, v, w are allowed.  Computed by inclusion-exclusion over
     the three forbidden pairs, summed over all centers; validated against a
-    quadruple-loop oracle in the test suite.
+    quadruple-loop oracle in the test suite, and against the meeting counts
+    by full_report's identity.
     """
-    return _counts(g, want_meeting=False, cubes=_degree_cube_sum(g))[2]
+    return full_report(g).w_count
 
 
 # -- CSR path: every statistic from one triangle listing --------------------
@@ -229,22 +232,22 @@ def _extended_cliques(fwd, keys: np.ndarray, clique: list[np.ndarray], more: int
     return total
 
 
-def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
-    """(triangles, meeting counts, W) of a large graph from one forward
+def _csr_counts(g: Graph, cubes: int | None = None):
+    """The triangle count of a large graph without cubes, and with
+    cubes = sum d^3, (triangles, meeting counts, W), from one forward
     triangle listing of its CSR.
 
-    Each triangle marks the union of its three closed rows.  W sums
-    count_w's per-center inclusion-exclusion over all centers:
-    sum d^3 - 6 sum_x d(x) t(x) + 6 sum_e s(e)^2 - 24 K4, where t(x) counts
-    the triangles at x, s(e) those on the edge e, and K4 the 4-cliques, one
-    extension level of the listing.  W never uses the meeting counts, so
-    full_report's identity stays a check.
+    Each triangle marks the union of its three open rows, which holds its
+    own vertices too.  W sums count_w's per-center inclusion-exclusion over
+    all centers: sum d^3 - 6 sum_x d(x) t(x) + 6 sum_e s(e)^2 - 24 K4, where
+    t(x) counts the triangles at x, s(e) those on the edge e, and K4 the
+    4-cliques, one extension level of the listing.  W never uses the meeting
+    counts, so full_report's identity stays a check.
     """
     n, indptr, indices = g.n, g._indptr, g._indices
     fwd, keys = _orient(g)
-    if not want_meeting and cubes is None:
-        return _fast.forward_triangles(*fwd, keys), None, None
-    want_w = cubes is not None
+    if cubes is None:
+        return _fast.forward_triangles(*fwd, keys)
     marks = np.zeros(n, np.int64)
     at_vertex = np.zeros(n, np.int64)  # t(x)
     on_edge = np.zeros(keys.size, np.int64)  # s(e), indexed like keys
@@ -256,24 +259,18 @@ def _csr_counts(g: Graph, want_meeting: bool = True, cubes: int | None = None):
         for s in range(0, chunk[0].size, step):
             a, b, c, bc = (arr[s:s + step] for arr in chunk)
             tri = np.concatenate([a, b, c])
-            if want_meeting:
-                owner, nbr = _gather_neighbors(indptr, indices, tri)
-                member = np.concatenate([owner % a.size * n + nbr,
-                                         np.arange(tri.size) % a.size * n + tri])
-                member.sort()  # each (triangle, vertex) key once: sorting beats hashing
-                first = np.concatenate([[True], member[1:] != member[:-1]])
-                marks += np.bincount(member[first] % n, minlength=n)
-            if want_w:
-                at_vertex += np.bincount(tri, minlength=n)
-                ab, _ = _edge_positions(keys, n, a, b)
-                ac, _ = _edge_positions(keys, n, a, c)
-                on_edge += np.bincount(np.concatenate([ab, ac, bc]), minlength=keys.size)
-                k4 += _extended_cliques(fwd, keys, [a, b, c], 1)
-    w = None
-    if want_w:
-        w = (cubes - 6 * int(np.diff(indptr) @ at_vertex)
-             + 6 * int(on_edge @ on_edge) - 24 * k4)
-    return triangles, marks.tolist() if want_meeting else None, w
+            owner, nbr = _gather_neighbors(indptr, indices, tri)
+            member = owner % a.size * n + nbr
+            member.sort()  # each (triangle, vertex) key once: sorting beats hashing
+            first = np.concatenate([[True], member[1:] != member[:-1]])
+            marks += np.bincount(member[first] % n, minlength=n)
+            at_vertex += np.bincount(tri, minlength=n)
+            ab, _ = _edge_positions(keys, n, a, b)
+            ac, _ = _edge_positions(keys, n, a, c)
+            on_edge += np.bincount(np.concatenate([ab, ac, bc]), minlength=keys.size)
+            k4 += _extended_cliques(fwd, keys, [a, b, c], 1)
+    w = cubes - 6 * int(np.diff(indptr) @ at_vertex) + 6 * int(on_edge @ on_edge) - 24 * k4
+    return triangles, marks.tolist(), w
 
 
 # -- full report -----------------------------------------------------------
@@ -299,3 +296,18 @@ def full_report(g: Graph) -> CountsReport:
             f"!= {report.degree_cube_sum} = sum d^3"
         )
     return report
+
+
+def complement_identity_check(g: Graph) -> tuple[int, int]:
+    """Both sides of |T(G)| + |T(G^c)| = C(n,3) - (1/2) sum_v d(v)(n-1-d(v))."""
+    n = g.n
+    if n * n > 2**24:  # the complement's n-bit rows take n^2/8 bytes
+        raise InvalidArgument(f"complement of an n={n} graph is too large to count")
+    full = (1 << n) - 1
+    rows = [full ^ r ^ (1 << v) for v, r in enumerate(g.neighbor_masks())]
+    lhs = count_triangles(g) + _bitset_counts(rows)
+    s = sum(d * (n - 1 - d) for d in g.degrees)
+    # each non-edge at distance-2 pair is counted from both ends, so s is even
+    if s % 2:
+        raise IdentityViolation(f"sum d(v)(n-1-d(v)) = {s} is odd")
+    return lhs, math.comb(n, 3) - s // 2

@@ -240,9 +240,9 @@ def read_graph6(line: str) -> Graph:
 # -- hashing --------------------------------------------------------------
 
 
-def graph_hash(g: Graph, algorithm: str = "sha256") -> str:
-    """Digest of the sorted edge list, the canonical text certificates hash."""
-    digest = hashlib.new(algorithm)
+def graph_hash(g: Graph) -> str:
+    """SHA-256 digest of the sorted edge list, the canonical text certificates hash."""
+    digest = hashlib.sha256()
     for block in _edge_list_blocks(g):
         digest.update(block)
     return digest.hexdigest()

@@ -11,6 +11,8 @@ from trident import (
     count_w,
     full_report,
     meeting_counts,
+    peel,
+    select_vertex,
     triangles_meeting,
 )
 from trident.errors import InvalidCliqueSize, InvalidVertex
@@ -226,19 +228,23 @@ class TestFullReport:
 
 
 def assert_w_off_by_one_raises(monkeypatch, kernel_name):
-    """full_report raises IdentityViolation when the kernel's W is off by one."""
+    """Every reader of the meeting counts or W raises IdentityViolation when
+    the kernel's W is off by one."""
     from trident import counting
     from trident.errors import IdentityViolation
 
     listing = getattr(counting, kernel_name)
 
-    def w_off_by_one(*args):
-        triangles, meeting, w = listing(*args)
+    def w_off_by_one(rows_or_graph, cubes=None):
+        if cubes is None:
+            return listing(rows_or_graph)
+        triangles, meeting, w = listing(rows_or_graph, cubes)
         return triangles, meeting, w + 1
 
     monkeypatch.setattr(counting, kernel_name, w_off_by_one)
-    with pytest.raises(IdentityViolation):
-        full_report(complete_graph(5))
+    for fn in (full_report, meeting_counts, count_w, select_vertex, lambda g: peel(g, 4)):
+        with pytest.raises(IdentityViolation):
+            fn(complete_graph(5))
 
 
 def k4_rich_sorted_graphs():

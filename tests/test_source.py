@@ -35,6 +35,28 @@ def test_public_names_pinned():
     ]
 
 
+def test_kernels_called_only_in_counting():
+    # Every meeting count and W reaches the rest of the package through
+    # full_report's identity check, so no other module names a kernel.
+    kernels = {"_counts", "_bitset_counts", "_csr_counts"}
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path.name == "counting.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in kernels]
+    assert not found, found
+
+
 def test_imports_stdlib_or_numpy():
     # The package needs nothing that cannot be installed offline: every
     # import is the standard library, numpy or trident itself.
